@@ -18,8 +18,6 @@ from .ci import (
     RegressionCI,
     SepsetStore,
     find_sepset,
-    oracle_ci,
-    regression_ci,
 )
 from .errors import Infeasible
 from .harness import (
@@ -27,7 +25,6 @@ from .harness import (
     TrialMetrics,
     brute_force_pattern,
     run_bench,
-    rule_profile,
     score,
 )
 from .model import (

@@ -6,6 +6,10 @@ these graphs, so direction is not stored on edges: every edge carries the
 unordered dependency pair that produced it, and a registry shared by the
 whole set maps each pair to its current orientation. Orienting a pair
 therefore directs every supporting edge everywhere at once.
+
+Once every pair is oriented, ``DirectedSnapshot`` indexes a graph's parents
+and children by integer and answers d-separation; the oracle backend and
+``d_separated`` both query it.
 """
 
 from __future__ import annotations
@@ -247,8 +251,79 @@ def unshielded_triples(agg: Agg):
     return out
 
 
+class DirectedSnapshot:
+    """Integer-indexed parents/children of one fully directed lifted graph.
+
+    The only d-separation kernel: ``d_separated`` walks active trails
+    between two node indices by ball passing.
+    """
+
+    def __init__(self, agg):
+        nodes = sorted(agg.nodes, key=variable_key)
+        self.index = {v: i for i, v in enumerate(nodes)}
+        n = len(nodes)
+        parents: list[list[int]] = [[] for _ in range(n)]
+        children: list[list[int]] = [[] for _ in range(n)]
+        for key in agg.edge_pairs:
+            u, v = tuple(key)
+            src, dst = agg.edge_direction(u, v)
+            children[self.index[src]].append(self.index[dst])
+            parents[self.index[dst]].append(self.index[src])
+        self.parents = parents
+        self.children = children
+
+    def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
+        """Whether no active trail joins node x to node y given nodes z."""
+        parents, children = self.parents, self.children
+        n = len(parents)
+        anc = bytearray(n)
+        stack = list(z)
+        while stack:
+            node = stack.pop()
+            if not anc[node]:
+                anc[node] = 1
+                stack.extend(parents[node])
+        in_z = bytearray(n)
+        for i in z:
+            in_z[i] = 1
+        seen_up = bytearray(n)
+        seen_down = bytearray(n)
+        queue = deque(((x, 1),))
+        while queue:
+            node, up = queue.popleft()
+            if up:
+                if seen_up[node]:
+                    continue
+                seen_up[node] = 1
+            else:
+                if seen_down[node]:
+                    continue
+                seen_down[node] = 1
+            blocked = in_z[node]
+            if not blocked and node == y:
+                return False
+            if up:
+                if not blocked:
+                    for p in parents[node]:
+                        queue.append((p, 1))
+                    for c in children[node]:
+                        queue.append((c, 0))
+            else:
+                if not blocked:
+                    for c in children[node]:
+                        queue.append((c, 0))
+                if anc[node]:
+                    for p in parents[node]:
+                        queue.append((p, 1))
+        return True
+
+
 def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
-    """Standard d-separation on a fully directed lifted graph."""
+    """Standard d-separation on a fully directed lifted graph.
+
+    Sets are d-separated exactly when every pair drawn from x and y is, so
+    the kernel answers pair by pair.
+    """
     for v in (*x, *y, *z):
         if v not in agg.nodes:
             raise ValueError(f"{v} is not a node of the {agg.perspective} graph")
@@ -256,45 +331,10 @@ def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
         raise ValueError("query sets must be disjoint")
     if not agg.is_fully_directed():
         raise ValueError("graph has undirected edges; orient all dependencies first")
-    parents: dict[RelationalVariable, list[RelationalVariable]] = {}
-    children: dict[RelationalVariable, list[RelationalVariable]] = {}
-    for key in agg.edge_pairs:
-        u, v = tuple(key)
-        src, dst = agg.edge_direction(u, v)
-        children.setdefault(src, []).append(dst)
-        parents.setdefault(dst, []).append(src)
-    return not _reachable(parents, children, x, y, z)
-
-
-def _reachable(parents, children, x: set, y: set, z: set) -> bool:
-    """Whether an active trail connects x to y given z (ball-passing walk)."""
-    ancestors_of_z: set = set()
-    stack = list(z)
-    while stack:
-        node = stack.pop()
-        if node in ancestors_of_z:
-            continue
-        ancestors_of_z.add(node)
-        stack.extend(parents.get(node, ()))
-    queue = deque((s, True) for s in x)  # True: arriving from a child ("up")
-    visited: set = set()
-    while queue:
-        node, up = queue.popleft()
-        if (node, up) in visited:
-            continue
-        visited.add((node, up))
-        if node not in z and node in y:
-            return True
-        if up:
-            if node not in z:
-                queue.extend((p, True) for p in parents.get(node, ()))
-                queue.extend((c, False) for c in children.get(node, ()))
-        else:
-            if node not in z:
-                queue.extend((c, False) for c in children.get(node, ()))
-            if node in ancestors_of_z:
-                queue.extend((p, True) for p in parents.get(node, ()))
-    return False
+    snap = DirectedSnapshot(agg)
+    index = snap.index
+    zi = frozenset(index[v] for v in z)
+    return all(snap.d_separated(index[a], index[b], zi) for a in x for b in y)
 
 
 def agg_to_dot(agg: Agg) -> str:

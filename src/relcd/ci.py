@@ -10,15 +10,13 @@ per-label test accounting sit on top.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .agg import build_agg
+from .agg import DirectedSnapshot, build_agg
 from .model import (
     RelationalModel,
     RelationalVariable,
@@ -89,68 +87,6 @@ class CIStats:
         return sum(self.counts.values())
 
 
-class _DirectedSnapshot:
-    """Integer-indexed parents/children of one fully directed lifted graph."""
-
-    def __init__(self, agg):
-        nodes = sorted(agg.nodes, key=variable_key)
-        self.index = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
-        parents: list[list[int]] = [[] for _ in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        for key in agg.edge_pairs:
-            u, v = tuple(key)
-            src, dst = agg.edge_direction(u, v)
-            children[self.index[src]].append(self.index[dst])
-            parents[self.index[dst]].append(self.index[src])
-        self.parents = parents
-        self.children = children
-
-    def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
-        parents, children = self.parents, self.children
-        n = len(parents)
-        anc = bytearray(n)
-        stack = list(z)
-        while stack:
-            node = stack.pop()
-            if not anc[node]:
-                anc[node] = 1
-                stack.extend(parents[node])
-        in_z = bytearray(n)
-        for i in z:
-            in_z[i] = 1
-        seen_up = bytearray(n)
-        seen_down = bytearray(n)
-        queue = deque(((x, 1),))
-        while queue:
-            node, up = queue.popleft()
-            if up:
-                if seen_up[node]:
-                    continue
-                seen_up[node] = 1
-            else:
-                if seen_down[node]:
-                    continue
-                seen_down[node] = 1
-            blocked = in_z[node]
-            if not blocked and node == y:
-                return False
-            if up:
-                if not blocked:
-                    for p in parents[node]:
-                        queue.append((p, 1))
-                    for c in children[node]:
-                        queue.append((c, 0))
-            else:
-                if not blocked:
-                    for c in children[node]:
-                        queue.append((c, 0))
-                if anc[node]:
-                    for p in parents[node]:
-                        queue.append((p, 1))
-        return True
-
-
 class OracleCI:
     """Exact relational d-separation over the true model's lifted graphs.
 
@@ -162,10 +98,10 @@ class OracleCI:
         self.model = model
         self.hops = hops
         self.calls = 0
-        self._snapshots: dict[str, _DirectedSnapshot] = {}
+        self._snapshots: dict[str, DirectedSnapshot] = {}
         self._memo: dict[tuple, bool] = {}
 
-    def _snapshot(self, perspective: str) -> _DirectedSnapshot:
+    def _snapshot(self, perspective: str) -> DirectedSnapshot:
         snap = self._snapshots.get(perspective)
         if snap is None:
             registry = {
@@ -178,7 +114,7 @@ class OracleCI:
                 self.hops,
                 registry,
             )
-            snap = _DirectedSnapshot(agg)
+            snap = DirectedSnapshot(agg)
             self._snapshots[perspective] = snap
         return snap
 
@@ -289,26 +225,6 @@ class RegressionCI:
         std_coef = float(beta[1]) * float(np.std(xcol)) / float(np.std(ycol))
         dependent = pval < self.alpha and abs(std_coef) >= self.effect_threshold
         return not dependent
-
-
-@lru_cache(maxsize=8)
-def _cached_oracle(model: RelationalModel, hops: int) -> OracleCI:
-    return OracleCI(model, hops)
-
-
-def oracle_ci(model: RelationalModel, query: CIQuery, oracle_hops: int = 8) -> bool:
-    """One-shot oracle verdict; the underlying graphs are cached per model."""
-    return _cached_oracle(model, oracle_hops).independent(query)
-
-
-def regression_ci(
-    skeleton: Skeleton,
-    query: CIQuery,
-    alpha: float = 0.05,
-    effect_threshold: float = 0.01,
-) -> bool:
-    """One-shot regression verdict. Use RegressionCI directly for bulk work."""
-    return RegressionCI(skeleton, alpha, effect_threshold).independent(query)
 
 
 def find_sepset(

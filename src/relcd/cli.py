@@ -14,10 +14,10 @@ from .agg import agg_to_dot, build_agg
 from .ci import CIQuery, OracleCI, RegressionCI
 from .errors import Infeasible
 from .harness import (
+    BENCH_COLUMNS,
+    PROFILE_COLUMNS,
     TrialConfig,
     bench_to_csv,
-    profile_to_csv,
-    rule_profile,
     run_bench,
 )
 from .model import (
@@ -179,22 +179,14 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> None:
-    config = TrialConfig(
-        entities=_int_list(args.entities),
-        deps=_int_list(args.deps),
-        trials=args.trials,
-        hop_threshold=args.hop_threshold,
-        oracle_hops=args.oracle_hops,
-        depth=args.depth,
-        seed=args.seed,
-    )
-    cells, notes = run_bench(config, workers=args.workers)
-    _write(bench_to_csv(cells), args.output)
-    for note in notes:
-        sys.stderr.write(note + "\n")
+    _run_grid(args, "rbo_after_cd", BENCH_COLUMNS)
 
 
 def cmd_profile(args) -> None:
+    _run_grid(args, args.mode, PROFILE_COLUMNS)
+
+
+def _run_grid(args, rbo_order: str, columns: tuple[str, ...]) -> None:
     config = TrialConfig(
         entities=_int_list(args.entities),
         deps=_int_list(args.deps),
@@ -204,10 +196,23 @@ def cmd_profile(args) -> None:
         depth=args.depth,
         seed=args.seed,
     )
-    cells, notes = rule_profile(config, mode=args.mode, workers=args.workers)
-    _write(profile_to_csv(cells), args.output)
+    cells, notes = run_bench(config, rbo_order=rbo_order, workers=args.workers)
+    _write(bench_to_csv(cells, columns), args.output)
     for note in notes:
         sys.stderr.write(note + "\n")
+
+
+def _add_grid_arguments(p: argparse.ArgumentParser) -> None:
+    """The benchmark grid flags shared by ``bench`` and ``profile``."""
+    p.add_argument("--entities", default="1,2,3,4")
+    p.add_argument("--deps", default="1,5,10,15")
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--hop-threshold", type=int, default=4)
+    p.add_argument("--oracle-hops", type=int, default=8)
+    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--output", "-o", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,28 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_agg_export)
 
     p = sub.add_parser("bench", help="synthetic oracle benchmark")
-    p.add_argument("--entities", default="1,2,3,4")
-    p.add_argument("--deps", default="1,5,10,15")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--hop-threshold", type=int, default=4)
-    p.add_argument("--oracle-hops", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", "-o", default=None)
+    _add_grid_arguments(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("profile", help="rule activation profile")
     p.add_argument("--mode", required=True, choices=["rbo_first", "rbo_last", "rbo_after_cd"])
-    p.add_argument("--entities", default="1,2,3,4")
-    p.add_argument("--deps", default="1,5,10,15")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--hop-threshold", type=int, default=4)
-    p.add_argument("--oracle-hops", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--output", "-o", default=None)
+    _add_grid_arguments(p)
     p.set_defaults(func=cmd_profile)
 
     return parser

@@ -48,7 +48,6 @@ class TrialMetrics:
     none_directed: bool
     rule_counts: dict[str, int]
     ci_tests: int
-    runtime: float = 0.0
 
 
 def score(learned: LearnedPattern, truth: RelationalModel) -> TrialMetrics:
@@ -72,7 +71,6 @@ def score(learned: LearnedPattern, truth: RelationalModel) -> TrialMetrics:
         none_directed=n_directed == 0,
         rule_counts=dict(learned.rule_counts),
         ci_tests=learned.stats.total,
-        runtime=learned.stats.counts.get("_runtime", 0),
     )
 
 
@@ -117,17 +115,14 @@ def generate_case(
 
 
 def _run_oracle_trial(payload: tuple) -> dict:
-    (num_entities, num_deps, trial_idx, hop, oracle_hops, depth, rbo_order, seed) = (
-        payload
-    )
+    config, learn_config, num_entities, num_deps, trial_idx = payload
     seq = np.random.SeedSequence(
-        entropy=seed, spawn_key=(num_entities, num_deps, trial_idx)
+        entropy=config.seed, spawn_key=(num_entities, num_deps, trial_idx)
     )
     started = time.perf_counter()
-    schema, truth = generate_case(num_entities, num_deps, hop, seq)
-    backend = OracleCI(truth, hops=oracle_hops)
-    config = LearnConfig(hop_threshold=hop, depth=depth, rbo_order=rbo_order)
-    learned = rcd_learn(schema, backend, config)
+    schema, truth = generate_case(num_entities, num_deps, config.hop_threshold, seq)
+    backend = OracleCI(truth, hops=config.oracle_hops)
+    learned = rcd_learn(schema, backend, learn_config)
     metrics = score(learned, truth)
     return {
         "entities": num_entities,
@@ -153,10 +148,14 @@ def run_trials(
     """All per-trial results for the grid, plus notes for skipped cells.
 
     Trials are independent with derived seeds; the result order is fixed by
-    (entities, deps, trial) regardless of scheduling.
+    (entities, deps, trial) regardless of scheduling. ``rbo_order`` is
+    validated, through the learner's config, before any trial runs.
     """
+    learn_config = LearnConfig(
+        hop_threshold=config.hop_threshold, depth=config.depth, rbo_order=rbo_order
+    )
     payloads = [
-        (e, d, t, config.hop_threshold, config.oracle_hops, config.depth, rbo_order, config.seed)
+        (config, learn_config, e, d, t)
         for e in config.entities
         for d in config.deps
         for t in range(config.trials)
@@ -167,7 +166,7 @@ def run_trials(
 
     def _collect(payload, outcome):
         if isinstance(outcome, Infeasible):
-            cell = (payload[0], payload[1])
+            cell = (payload[2], payload[3])
             if cell not in skipped_cells:
                 skipped_cells.add(cell)
                 notes.append(f"cell {cell} skipped: {outcome}")
@@ -213,10 +212,6 @@ def aggregate_cells(results: list[dict]) -> list[dict]:
         rule_totals = Counter()
         for r in rows:
             rule_totals.update(r["rule_counts"])
-        shares = {
-            rule: (rule_totals.get(rule, 0) / directed_total if directed_total else 0.0)
-            for rule in RULES
-        }
         cell = {
             "entities": e,
             "deps": d,
@@ -230,10 +225,12 @@ def aggregate_cells(results: list[dict]) -> list[dict]:
             "se_orient_p": _sem([r["orient_p"] for r in rows]),
             "se_orient_r": _sem([r["orient_r"] for r in rows]),
             "mean_ci_tests": float(np.mean([r["ci_tests"] for r in rows])),
-            "mean_runtime": float(np.mean([r["runtime"] for r in rows])),
+            "directed_total": directed_total,
         }
         for rule in RULES:
-            cell[f"share_{rule.lower()}"] = shares[rule]
+            cell[f"share_{rule.lower()}"] = (
+                rule_totals.get(rule, 0) / directed_total if directed_total else 0.0
+            )
         out.append(cell)
     return out
 
@@ -259,27 +256,6 @@ BENCH_COLUMNS = (
 )
 
 
-def bench_to_csv(cells: list[dict]) -> str:
-    lines = [",".join(BENCH_COLUMNS)]
-    for cell in cells:
-        parts = []
-        for col in BENCH_COLUMNS:
-            value = cell[col]
-            parts.append(str(value) if isinstance(value, int) else f"{value:.6f}")
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def run_bench(
-    config: TrialConfig,
-    rbo_order: str = "rbo_after_cd",
-    workers: int = 1,
-) -> tuple[list[dict], list[str]]:
-    """Aggregated metrics per cell; see bench_to_csv for the report form."""
-    results, notes = run_trials(config, rbo_order=rbo_order, workers=workers)
-    return aggregate_cells(results), notes
-
-
 PROFILE_COLUMNS = (
     "entities",
     "deps",
@@ -293,50 +269,35 @@ PROFILE_COLUMNS = (
 )
 
 
-def rule_profile(
-    config: TrialConfig, mode: str, workers: int = 1
-) -> tuple[list[dict], list[str]]:
-    """Fraction of directed dependencies attributed to each rule per cell.
+def bench_to_csv(cells: list[dict], columns: tuple[str, ...] = BENCH_COLUMNS) -> str:
+    """One CSV row per cell over ``columns``.
 
-    ``mode`` is the rule ordering under study: rbo_first applies the
-    bivariate rule before collider detection, rbo_last holds it until all
-    other rules have settled.
+    BENCH_COLUMNS give the metrics report, PROFILE_COLUMNS the rule
+    activation profile.
     """
-    if mode not in ("rbo_first", "rbo_last", "rbo_after_cd"):
-        raise ValueError(f"unknown profile mode {mode!r}")
-    results, notes = run_trials(config, rbo_order=mode, workers=workers)
-    per_cell: dict[tuple[int, int], list[dict]] = {}
-    for row in results:
-        per_cell.setdefault((row["entities"], row["deps"]), []).append(row)
-    out = []
-    for (e, d), rows in sorted(per_cell.items()):
-        directed_total = sum(r["directed"] for r in rows)
-        rule_totals = Counter()
-        for r in rows:
-            rule_totals.update(r["rule_counts"])
-        cell = {
-            "entities": e,
-            "deps": d,
-            "trials": len(rows),
-            "directed_total": directed_total,
-        }
-        for rule in RULES:
-            cell[f"share_{rule.lower()}"] = (
-                rule_totals.get(rule, 0) / directed_total if directed_total else 0.0
-            )
-        out.append(cell)
-    return out, notes
-
-
-def profile_to_csv(cells: list[dict]) -> str:
-    lines = [",".join(PROFILE_COLUMNS)]
+    lines = [",".join(columns)]
     for cell in cells:
         parts = []
-        for col in PROFILE_COLUMNS:
+        for col in columns:
             value = cell[col]
             parts.append(str(value) if isinstance(value, int) else f"{value:.6f}")
         lines.append(",".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def run_bench(
+    config: TrialConfig,
+    rbo_order: str = "rbo_after_cd",
+    workers: int = 1,
+) -> tuple[list[dict], list[str]]:
+    """Aggregated metrics per cell; see bench_to_csv for the report forms.
+
+    ``rbo_order`` is the rule ordering under study: rbo_first applies the
+    bivariate rule before collider detection, rbo_last holds it until all
+    other rules have settled.
+    """
+    results, notes = run_trials(config, rbo_order=rbo_order, workers=workers)
+    return aggregate_cells(results), notes
 
 
 @lru_cache(maxsize=8)

@@ -2,10 +2,12 @@
 
 Phase I prunes the potential dependencies with conditional-independence
 tests of growing conditioning size. Phase II lifts the survivors into
-per-perspective graphs and orients them: collider detection, bivariate
-orientation across MANY-cardinality paths, and the non-collider /
-cycle-avoidance / double-parent propagation rules run to a fixpoint, with
-every orientation propagated through the shared registry.
+per-perspective graphs and orients them. Collider detection and bivariate
+orientation across MANY-cardinality paths are one test on lifted unshielded
+triples, run as two passes that split the triples by whether the endpoints
+share an attribute class. The non-collider / cycle-avoidance / double-parent
+propagation rules then run to a fixpoint, with every orientation propagated
+through the shared registry.
 """
 
 from __future__ import annotations
@@ -172,36 +174,8 @@ def collider_detection(
     stats: CIStats | None = None,
     rng: np.random.Generator | None = None,
 ) -> None:
-    """Orient unshielded triples whose endpoints separate without the middle.
-
-    Handles triples over distinct endpoint attribute classes; triples whose
-    endpoints share an attribute class are the bivariate rule's pattern.
-    Pairs with no recorded separating set are searched afresh over the
-    union of the endpoints' current neighbors; failures are remembered so a
-    pair is scanned at most once.
-    """
-    stats = stats if stats is not None else CIStats()
-    no_sepset: set[frozenset] = set()
-    perspectives = agg_set.perspectives()
-    if rng is not None:
-        rng.shuffle(perspectives)
-    for perspective in perspectives:
-        agg = agg_set.aggs[perspective]
-        triples = unshielded_triples(agg)
-        if rng is not None:
-            rng.shuffle(triples)
-        for x, y, z in triples:
-            if x.attribute_class == z.attribute_class:
-                continue
-            if not (_edge_undirected(agg, x, y) or _edge_undirected(agg, z, y)):
-                continue
-            sep = _triple_sepset(
-                agg, sepsets, ci_backend, config, x, z,
-                no_sepset=no_sepset, stats=stats, label="phase2_cd", rng=rng,
-            )
-            if sep is not None and y not in sep:
-                _orient_edge(agg_set, agg, x, y, "CD")
-                _orient_edge(agg_set, agg, z, y, "CD")
+    """Orient unshielded triples over distinct endpoint attribute classes."""
+    _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, rbo=False)
 
 
 def bivariate_orientation(
@@ -213,18 +187,30 @@ def bivariate_orientation(
     stats: CIStats | None = None,
     rng: np.random.Generator | None = None,
 ) -> None:
-    """Orient dependencies through same-attribute echoes of their endpoints.
+    """Orient unshielded triples whose endpoints share an attribute class."""
+    _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, rbo=True)
 
-    An unshielded triple whose endpoints carry the same attribute class is
-    the signature of relational autocorrelation: the middle variable is
-    either a collider (endpoints separate without it) or, because a chain
-    would force a cycle between the two attribute classes, a common cause
-    (every separating set contains it). Both outcomes orient the underlying
-    dependency; a chain never occurs in an acyclic model. The singleton
-    form, anchored at a perspective's own attribute across a MANY reverse
-    path, is the special case where one endpoint is the base variable.
+
+def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool):
+    """One orientation pass over the unshielded triples of every perspective.
+
+    Collider detection (``rbo=False``) takes triples over distinct endpoint
+    attribute classes and orients x -> y <- z when the endpoints separate
+    without the middle. The bivariate rule (``rbo=True``) takes triples whose
+    endpoints share an attribute class, the signature of relational
+    autocorrelation: the middle variable is either a collider (endpoints
+    separate without it) or, because a chain would force a cycle between the
+    two attribute classes, a common cause (every separating set contains
+    it). Both outcomes orient the underlying dependency; a chain never
+    occurs in an acyclic model. The singleton form, anchored at a
+    perspective's own attribute across a MANY reverse path, is the special
+    case where one endpoint is the base variable.
+
+    Pairs with no recorded separating set are searched afresh over the union
+    of the endpoints' current neighbors; failures are remembered for the
+    pass so a pair is scanned at most once.
     """
-    stats = stats if stats is not None else CIStats()
+    rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
     no_sepset: set[frozenset] = set()
     perspectives = agg_set.perspectives()
     if rng is not None:
@@ -235,25 +221,25 @@ def bivariate_orientation(
         if rng is not None:
             rng.shuffle(triples)
         for x, y, z in triples:
-            if x.attribute_class != z.attribute_class:
+            if (x.attribute_class == z.attribute_class) != rbo:
                 continue
             if not (_edge_undirected(agg, x, y) or _edge_undirected(agg, z, y)):
                 continue
             sep = _triple_sepset(
                 agg, sepsets, ci_backend, config, x, z,
-                no_sepset=no_sepset, stats=stats, label="phase2_rbo", rng=rng,
+                no_sepset=no_sepset, stats=stats, label=label, rng=rng,
             )
             if sep is None:
                 continue
-            if y in sep:
-                _orient_edge(agg_set, agg, y, x, "RBO")
-                _orient_edge(agg_set, agg, y, z, "RBO")
-            else:
-                _orient_edge(agg_set, agg, x, y, "RBO")
-                _orient_edge(agg_set, agg, z, y, "RBO")
+            if y not in sep:
+                _orient_edge(agg_set, agg, x, y, rule)
+                _orient_edge(agg_set, agg, z, y, rule)
+            elif rbo:
+                _orient_edge(agg_set, agg, y, x, rule)
+                _orient_edge(agg_set, agg, y, z, rule)
 
 
-def meek_rules(agg_set: AggSet, sepsets: SepsetStore | None = None) -> None:
+def meek_rules(agg_set: AggSet) -> None:
     """Propagation rules to a fixpoint across all perspectives.
 
     KNC: x -> y - z with x, z non-adjacent orients y -> z.
@@ -351,16 +337,16 @@ def rcd_learn(schema: Schema, ci_backend, config: LearnConfig) -> LearnedPattern
     if config.rbo_order == "rbo_first":
         bivariate_orientation(agg_set, sepsets, ci_backend, config, **args)
         collider_detection(agg_set, sepsets, ci_backend, config, **args)
-        meek_rules(agg_set, sepsets)
+        meek_rules(agg_set)
     elif config.rbo_order == "rbo_last":
         collider_detection(agg_set, sepsets, ci_backend, config, **args)
-        meek_rules(agg_set, sepsets)
+        meek_rules(agg_set)
         bivariate_orientation(agg_set, sepsets, ci_backend, config, **args)
-        meek_rules(agg_set, sepsets)
+        meek_rules(agg_set)
     else:
         collider_detection(agg_set, sepsets, ci_backend, config, **args)
         bivariate_orientation(agg_set, sepsets, ci_backend, config, **args)
-        meek_rules(agg_set, sepsets)
+        meek_rules(agg_set)
     directed = []
     undirected = []
     for pair in sorted(agg_set.registry, key=str):

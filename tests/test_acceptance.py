@@ -20,7 +20,7 @@ from relcd.harness import (
     TrialConfig,
     brute_force_pattern,
     propositional_pattern,
-    rule_profile,
+    run_bench,
     run_trials,
 )
 from relcd.model import (
@@ -146,8 +146,8 @@ def test_criterion_3_oriented_recall_extremes():
 
 def test_criterion_4_rbo_activation_profile():
     config = TrialConfig(trials=40, seed=41)
-    first, _ = rule_profile(config, mode="rbo_first", workers=WORKERS)
-    last, _ = rule_profile(config, mode="rbo_last", workers=WORKERS)
+    first, _ = run_bench(config, rbo_order="rbo_first", workers=WORKERS)
+    last, _ = run_bench(config, rbo_order="rbo_last", workers=WORKERS)
     single_zero = all(
         c["share_rbo"] == 0.0 for c in first + last if c["entities"] == 1
     )

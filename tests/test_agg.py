@@ -200,12 +200,22 @@ def test_d_separation_agrees_with_networkx(seed):
         assert directed
         g.add_edge(a, b)
     import itertools
+    import random
 
-    for x, y in itertools.islice(itertools.combinations(rng_nodes, 2), 12):
+    cases = [
+        ({x}, {y}) for x, y in itertools.islice(itertools.combinations(rng_nodes, 2), 12)
+    ]
+    if len(rng_nodes) >= 4:
+        # sets of two or more nodes, which d_separated answers pair by pair
+        pick = random.Random(seed)
+        for _ in range(12):
+            drawn = pick.sample(rng_nodes, min(5, len(rng_nodes)))
+            cases.append((set(drawn[:2]), set(drawn[2:])))
+    for xs, ys in cases:
         for z in ([], rng_nodes[:1], rng_nodes[:2]):
-            zset = set(z) - {x, y}
-            mine = d_separated(agg, {x}, {y}, zset)
-            theirs = nx.is_d_separator(g, {x}, {y}, zset)
+            zset = set(z) - xs - ys
+            mine = d_separated(agg, xs, ys, zset)
+            theirs = nx.is_d_separator(g, xs, ys, zset)
             assert mine == theirs
 
 

@@ -11,8 +11,6 @@ from relcd.ci import (
     RegressionCI,
     SepsetStore,
     find_sepset,
-    oracle_ci,
-    regression_ci,
 )
 from relcd.errors import Infeasible
 from relcd.model import (
@@ -42,10 +40,10 @@ def test_query_validation():
 
 
 def test_oracle_movie_examples(movie_truth):
-    assert oracle_ci(movie_truth, CIQuery("ACTOR", POP, COSTAR_POP))
-    assert not oracle_ci(movie_truth, CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS))
-    assert oracle_ci(
-        movie_truth,
+    independent = OracleCI(movie_truth, hops=8).independent
+    assert independent(CIQuery("ACTOR", POP, COSTAR_POP))
+    assert not independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS))
+    assert independent(
         CIQuery("MOVIE", SUCCESS, OTHER_SUCCESS, frozenset((POP_VIA_MOVIE,))),
     )
 
@@ -220,7 +218,8 @@ def test_regression_invariant_to_row_order(movie_schema, movie_truth):
 
 
 def test_regression_facade(movie_data):
-    assert regression_ci(movie_data, CIQuery("ACTOR", POP, COSTAR_POP)) is True
+    query = CIQuery("ACTOR", POP, COSTAR_POP)
+    assert RegressionCI(movie_data).independent(query) is True
 
 
 def test_find_sepset_movie(movie_truth):

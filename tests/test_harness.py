@@ -3,14 +3,13 @@ import pytest
 from relcd.ci import OracleCI
 from relcd.harness import (
     BENCH_COLUMNS,
+    PROFILE_COLUMNS,
     TrialConfig,
     aggregate_cells,
     bench_to_csv,
     brute_force_pattern,
     generate_case,
-    profile_to_csv,
     propositional_pattern,
-    rule_profile,
     run_bench,
     run_trials,
     score,
@@ -102,8 +101,8 @@ def test_oracle_trials_are_exact():
 
 def test_rule_profile_shape_and_single_entity_rbo():
     config = TrialConfig(entities=(1, 2), deps=(2,), trials=5, seed=2)
-    cells, _ = rule_profile(config, mode="rbo_first")
-    text = profile_to_csv(cells)
+    cells, _ = run_bench(config, rbo_order="rbo_first")
+    text = bench_to_csv(cells, PROFILE_COLUMNS)
     assert text.startswith("entities,deps,trials,directed_total,share_cd,share_rbo")
     single = [c for c in cells if c["entities"] == 1]
     assert all(c["share_rbo"] == 0.0 for c in single)
@@ -111,7 +110,7 @@ def test_rule_profile_shape_and_single_entity_rbo():
 
 def test_rule_profile_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        rule_profile(TrialConfig(), mode="alphabetical")
+        run_bench(TrialConfig(), rbo_order="alphabetical")
 
 
 def test_brute_force_three_chain():
@@ -174,3 +173,4 @@ def test_aggregate_cells_rule_shares():
     assert cell["share_cd"] == 0.5 and cell["share_rbo"] == 0.5
     assert cell["trials"] == 4
     assert cell["mean_ci_tests"] == 10.0
+    assert cell["directed_total"] == 8

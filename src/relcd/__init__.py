@@ -13,7 +13,6 @@ from .agg import (
 )
 from .ci import (
     CIQuery,
-    CIStats,
     OracleCI,
     RegressionCI,
     SepsetStore,

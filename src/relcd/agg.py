@@ -44,8 +44,6 @@ class Agg:
     """
 
     perspective: str
-    schema: Schema
-    node_hops: int
     nodes: frozenset[RelationalVariable]
     adjacency: dict[RelationalVariable, frozenset[RelationalVariable]]
     edge_pairs: dict[EdgeKey, tuple[RelationalDependency, ...]]
@@ -99,30 +97,19 @@ class Agg:
 
 @dataclass
 class AggSet:
-    schema: Schema
-    node_hops: int
     aggs: dict[str, Agg]
     registry: Registry
+    # attribute-class pair -> the registry pairs relating it, in registry order
+    siblings: dict[frozenset, list[RelationalDependency]]
     conflicts: list[str] = field(default_factory=list)
     attribution: dict[RelationalDependency, str] = field(default_factory=dict)
 
     def perspectives(self) -> list[str]:
         return sorted(self.aggs)
 
-    def sibling_pairs(self, pair: RelationalDependency):
-        """Registry pairs relating the same two attribute classes."""
-        classes = frozenset(
-            (pair.cause.attribute_class, pair.effect.attribute_class)
-        )
-        return [
-            other
-            for other in self.registry
-            if other is not pair
-            and frozenset(
-                (other.cause.attribute_class, other.effect.attribute_class)
-            )
-            == classes
-        ]
+
+def _classes(pair: RelationalDependency) -> frozenset:
+    return frozenset((pair.cause.attribute_class, pair.effect.attribute_class))
 
 
 def build_agg(
@@ -170,8 +157,6 @@ def build_agg(
                 adjacency.setdefault(v, set()).add(u)
     return Agg(
         perspective=perspective,
-        schema=schema,
-        node_hops=node_hops,
         nodes=nodes,
         adjacency={v: frozenset(n) for v, n in adjacency.items()},
         edge_pairs={k: tuple(sorted(p, key=str)) for k, p in supports.items()},
@@ -186,7 +171,10 @@ def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
         perspective: build_agg(dependencies, schema, perspective, node_hops, registry)
         for perspective in sorted(schema.item_classes)
     }
-    return AggSet(schema=schema, node_hops=node_hops, aggs=aggs, registry=registry)
+    siblings: dict[frozenset, list[RelationalDependency]] = {}
+    for pair in registry:
+        siblings.setdefault(_classes(pair), []).append(pair)
+    return AggSet(aggs=aggs, registry=registry, siblings=siblings)
 
 
 def orient(
@@ -210,7 +198,8 @@ def orient(
             f"{rule or 'orientation'} wanted {dependency} but registry holds {current}"
         )
         return False
-    for sibling in agg_set.sibling_pairs(pair):
+    # the pair is among its own siblings, harmlessly: it is unoriented here
+    for sibling in agg_set.siblings[_classes(pair)]:
         oriented = agg_set.registry[sibling]
         if (
             oriented is not None

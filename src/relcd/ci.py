@@ -3,14 +3,16 @@
 Two interchangeable backends answer queries between relational variables of
 a shared perspective: an exact graphical oracle over the fully directed
 lifted graphs of a known model, and a regression test on skeleton data that
-averages each variable over its terminal sets. A separating-set search and
-per-label test accounting sit on top.
+averages each variable over its terminal sets. A separating-set search sits
+on top; it counts its tests per label in a ``collections.Counter``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -64,27 +66,8 @@ class SepsetStore:
     ) -> frozenset | None:
         return self._sets.get(frozenset((x, y)))
 
-    def has(self, x: RelationalVariable, y: RelationalVariable) -> bool:
-        return frozenset((x, y)) in self._sets
-
     def __len__(self):
         return len(self._sets)
-
-
-@dataclass
-class CIStats:
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, label: str, n: int = 1) -> None:
-        self.counts[label] = self.counts.get(label, 0) + n
-
-    def merge(self, other: "CIStats") -> None:
-        for label, n in other.counts.items():
-            self.bump(label, n)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 class OracleCI:
@@ -173,9 +156,10 @@ class RegressionCI:
         for i, inst in enumerate(rows):
             reached = terminal_set(skel, var.path, inst)
             if reached:
-                col[i] = float(
-                    np.mean([skel.values[(cls, r, var.attribute)] for r in reached])
-                )
+                # fsum is exact, so the set's iteration order cannot matter
+                col[i] = math.fsum(
+                    skel.values[(cls, r, var.attribute)] for r in reached
+                ) / len(reached)
                 ok[i] = True
         self._columns[var] = (col, ok)
         return col, ok
@@ -235,7 +219,7 @@ def find_sepset(
     max_depth: int,
     *,
     store: SepsetStore | None = None,
-    stats: CIStats | None = None,
+    stats: Counter | None = None,
     label: str = "sepset",
     rng: np.random.Generator | None = None,
 ) -> frozenset | None:
@@ -253,7 +237,7 @@ def find_sepset(
         for combo in combinations(pool, size):
             cond = frozenset(combo)
             if stats is not None:
-                stats.bump(label)
+                stats[label] += 1
             if ci_backend.independent(CIQuery(x.perspective, x, y, cond)):
                 if store is not None:
                     store.record(x, y, cond)

@@ -80,7 +80,10 @@ def cmd_gen_skeleton(args) -> None:
     sizes = {}
     for part in args.sizes.split(","):
         name, _, count = part.partition("=")
-        sizes[name.strip()] = int(count)
+        name = name.strip()
+        if name in sizes:
+            raise ValueError(f"size for {name!r} given twice")
+        sizes[name] = int(count)
     skeleton = random_skeleton(schema, sizes, link_density=args.density, seed=args.seed)
     if args.model:
         model = _read_model(args.model)
@@ -94,6 +97,8 @@ def cmd_learn(args) -> None:
     schema = _read_schema(args.schema)
     if (args.model is None) == (args.data is None):
         raise ValueError("provide exactly one of --model (oracle) or --data")
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
     if args.model:
         backend = OracleCI(_read_model(args.model), hops=args.oracle_hops)
     else:
@@ -106,7 +111,6 @@ def cmd_learn(args) -> None:
         depth=args.depth,
         rbo_order=args.rbo_order,
         seed=args.seed,
-        order_randomization=args.runs > 1,
     )
     if args.runs > 1:
         pattern = majority_vote(

@@ -69,8 +69,8 @@ def score(learned: LearnedPattern, truth: RelationalModel) -> TrialMetrics:
         oriented_precision=correct / n_directed if n_directed else 1.0,
         oriented_recall=correct / len(true_deps) if true_deps else 1.0,
         none_directed=n_directed == 0,
-        rule_counts=dict(learned.rule_counts),
-        ci_tests=learned.stats.total,
+        rule_counts=learned.rule_counts,
+        ci_tests=learned.stats.total(),
     )
 
 

@@ -7,7 +7,8 @@ orientation across MANY-cardinality paths are one test on lifted unshielded
 triples, run as two passes that split the triples by whether the endpoints
 share an attribute class. The non-collider / cycle-avoidance / double-parent
 propagation rules then run to a fixpoint, with every orientation propagated
-through the shared registry.
+through the shared registry. A run returns the pattern, its CI-test counts
+per label, the rule that oriented each pair and the conflicts it refused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .agg import AggSet, build_all, orient, unshielded_triples
-from .ci import CIQuery, CIStats, SepsetStore, find_sepset
+from .ci import CIQuery, SepsetStore, find_sepset
 from .model import (
     RelationalDependency,
     RelationalVariable,
@@ -53,11 +54,15 @@ class LearnedPattern:
     schema: Schema
     directed: tuple[RelationalDependency, ...]
     undirected: tuple[tuple[RelationalDependency, RelationalDependency], ...]
-    sepsets: SepsetStore
-    stats: CIStats
-    rule_counts: dict[str, int]
+    stats: Counter  # CI tests per label
     attribution: dict[RelationalDependency, str]
     conflicts: tuple[str, ...]
+
+    @property
+    def rule_counts(self) -> dict[str, int]:
+        """Directed pairs per orientation rule, for every rule in ``RULES``."""
+        counts = Counter(self.attribution.values())
+        return {rule: counts[rule] for rule in RULES}
 
     def pairs(self) -> frozenset[RelationalDependency]:
         """Canonical pair representatives of every learned dependency."""
@@ -72,8 +77,7 @@ def phase1(
     ci_backend,
     config: LearnConfig,
     *,
-    stats: CIStats | None = None,
-    sepsets: SepsetStore | None = None,
+    stats: Counter | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[RelationalDependency], SepsetStore]:
     """Prune potential dependencies by increasing conditioning size.
@@ -82,8 +86,8 @@ def phase1(
     conditioning set drawn from the current cause candidates of the effect
     separates the pair; the witnessing set is recorded.
     """
-    stats = stats if stats is not None else CIStats()
-    sepsets = sepsets if sepsets is not None else SepsetStore()
+    stats = stats if stats is not None else Counter()
+    sepsets = SepsetStore()
     pds = potential_dependencies(schema, config.hop_threshold)
     neighbors: dict[RelationalVariable, set[RelationalVariable]] = {}
     for dep in pds:
@@ -104,7 +108,7 @@ def phase1(
                 rng.shuffle(pool)
             for combo in combinations(pool, size):
                 cond = frozenset(combo)
-                stats.bump("phase1")
+                stats["phase1"] += 1
                 if ci_backend.independent(CIQuery(y.perspective, x, y, cond)):
                     sepsets.record(x, y, cond)
                     rev = reverse_dependency(dep)
@@ -144,7 +148,7 @@ def _triple_sepset(
 ):
     """Stored or freshly searched separating set for a triple's endpoints."""
     sep = sepsets.get(x, z)
-    if sep is None and not sepsets.has(x, z):
+    if sep is None:
         key = frozenset((x, z))
         if key in no_sepset:
             return None
@@ -171,7 +175,7 @@ def collider_detection(
     ci_backend,
     config: LearnConfig,
     *,
-    stats: CIStats | None = None,
+    stats: Counter | None = None,
     rng: np.random.Generator | None = None,
 ) -> None:
     """Orient unshielded triples over distinct endpoint attribute classes."""
@@ -184,7 +188,7 @@ def bivariate_orientation(
     ci_backend,
     config: LearnConfig,
     *,
-    stats: CIStats | None = None,
+    stats: Counter | None = None,
     rng: np.random.Generator | None = None,
 ) -> None:
     """Orient unshielded triples whose endpoints share an attribute class."""
@@ -324,14 +328,11 @@ def _mr3_pass(agg_set: AggSet, agg) -> bool:
 
 def rcd_learn(schema: Schema, ci_backend, config: LearnConfig) -> LearnedPattern:
     """Full run: prune, lift at twice the hop threshold, orient, extract."""
-    stats = CIStats()
-    sepsets = SepsetStore()
+    stats: Counter = Counter()
     rng = (
         np.random.default_rng(config.seed) if config.order_randomization else None
     )
-    pds, sepsets = phase1(
-        schema, ci_backend, config, stats=stats, sepsets=sepsets, rng=rng
-    )
+    pds, sepsets = phase1(schema, ci_backend, config, stats=stats, rng=rng)
     agg_set = build_all(pds, schema, 2 * config.hop_threshold)
     args = dict(stats=stats, rng=rng)
     if config.rbo_order == "rbo_first":
@@ -355,16 +356,11 @@ def rcd_learn(schema: Schema, ci_backend, config: LearnConfig) -> LearnedPattern
             undirected.append((pair, reverse_dependency(pair)))
         else:
             directed.append(oriented)
-    rule_counts = dict.fromkeys(RULES, 0)
-    for rule in agg_set.attribution.values():
-        rule_counts[rule] = rule_counts.get(rule, 0) + 1
     return LearnedPattern(
         schema=schema,
         directed=tuple(sorted(directed, key=str)),
         undirected=tuple(sorted(undirected, key=lambda p: str(p[0]))),
-        sepsets=sepsets,
         stats=stats,
-        rule_counts=rule_counts,
         attribution=dict(agg_set.attribution),
         conflicts=tuple(agg_set.conflicts),
     )
@@ -390,18 +386,15 @@ def majority_vote(
     presence: Counter = Counter()
     direction: Counter = Counter()
     rule_votes: dict[RelationalDependency, Counter] = {}
-    stats = CIStats()
+    stats: Counter = Counter()
     conflicts: list[str] = []
-    first_sepsets: SepsetStore | None = None
     for run_seed in seeds:
         run_config = replace(
             config, seed=int(run_seed), order_randomization=True
         )
         pattern = rcd_learn(schema, ci_backend, run_config)
-        stats.merge(pattern.stats)
+        stats.update(pattern.stats)
         conflicts.extend(pattern.conflicts)
-        if first_sepsets is None:
-            first_sepsets = pattern.sepsets
         for pair in pattern.pairs():
             presence[pair] += 1
         for dep in pattern.directed:
@@ -430,16 +423,11 @@ def majority_vote(
                 )[0][0]
         else:
             undirected.append((pair, rev))
-    rule_counts = dict.fromkeys(RULES, 0)
-    for rule in attribution.values():
-        rule_counts[rule] = rule_counts.get(rule, 0) + 1
     return LearnedPattern(
         schema=schema,
         directed=tuple(sorted(directed, key=str)),
         undirected=tuple(sorted(undirected, key=lambda p: str(p[0]))),
-        sepsets=first_sepsets if first_sepsets is not None else SepsetStore(),
         stats=stats,
-        rule_counts=rule_counts,
         attribution=attribution,
         conflicts=tuple(conflicts),
     )
@@ -463,7 +451,7 @@ def pattern_to_dict(pattern: LearnedPattern) -> dict:
         "dependencies": deps,
         "conflicts": list(pattern.conflicts),
         "stats": {
-            "ci_tests": dict(sorted(pattern.stats.counts.items())),
-            "rule_counts": {r: pattern.rule_counts.get(r, 0) for r in RULES},
+            "ci_tests": dict(sorted(pattern.stats.items())),
+            "rule_counts": pattern.rule_counts,
         },
     }

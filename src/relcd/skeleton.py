@@ -17,9 +17,9 @@ import networkx as nx
 import numpy as np
 
 from .errors import Infeasible
-from .model import RelationalModel
+from .model import RelationalModel, class_dependency_graph
 from .paths import RelationalPath
-from .schema import Cardinality, Schema
+from .schema import AttributeClass, Cardinality, Schema
 
 # (item class, instance id, attribute)
 Node = tuple[str, str, str]
@@ -158,6 +158,9 @@ def random_skeleton(
     population when both sides are MANY. ONE-side instances are never
     reused; MANY/MANY links are distinct pairs.
     """
+    unknown = sorted(set(sizes) - schema.entity_names)
+    if unknown:
+        raise ValueError(f"sizes name unknown entity classes {unknown}")
     for entity in schema.entity_names:
         if sizes.get(entity, 0) < 1:
             raise ValueError(f"size for {entity!r} must be >= 1")
@@ -218,7 +221,6 @@ class GroundGraph:
     """
 
     model: RelationalModel
-    skeleton: Skeleton
     nodes: tuple[Node, ...]
     parents: dict[Node, dict[object, tuple[Node, ...]]]
 
@@ -258,7 +260,7 @@ def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
             child = (effect_cls, inst, dep.effect.attribute)
             group = tuple((cause_cls, r, dep.cause.attribute) for r in sorted(reached))
             parents.setdefault(child, {})[dep] = group
-    return GroundGraph(model, skeleton, nodes, parents)
+    return GroundGraph(model, nodes, parents)
 
 
 def sample_data(
@@ -267,16 +269,16 @@ def sample_data(
     coeff_range: tuple[float, float] = (0.3, 0.7),
     noise_sd: float = 1.0,
 ) -> dict[Node, float]:
-    """Linear-Gaussian sampling in topological order.
+    """Linear-Gaussian sampling, one attribute class at a time.
 
     Each dependency draws one signed coefficient; a node's value sums, over
     its dependency groups, coefficient times the group's parent average,
-    plus Gaussian noise. Values are deterministic for a given seed and do
-    not depend on topological tie-breaking.
+    plus Gaussian noise. Every ground edge instantiates an edge of the
+    model's acyclic class dependency graph, so visiting attribute classes
+    in its topological order computes every parent before its children.
+    Values are deterministic for a given seed and do not depend on
+    topological tie-breaking.
     """
-    g = gg.to_networkx()
-    if not nx.is_directed_acyclic_graph(g):
-        raise ValueError("ground graph is cyclic")
     rng = np.random.default_rng(seed)
     lo, hi = coeff_range
     coeffs = {
@@ -285,8 +287,11 @@ def sample_data(
     }
     ordered = sorted(gg.nodes)
     noise = dict(zip(ordered, rng.normal(0.0, noise_sd, size=len(ordered))))
+    graph = class_dependency_graph(gg.model)
+    rank = {c: i for i, c in enumerate(nx.lexicographical_topological_sort(graph))}
     values: dict[Node, float] = {}
-    for node in nx.lexicographical_topological_sort(g):
+    # a stable sort keeps each attribute class's nodes in sorted order
+    for node in sorted(ordered, key=lambda n: rank[AttributeClass(n[0], n[2])]):
         total = noise[node]
         for dep, group in gg.parents.get(node, {}).items():
             total += coeffs[dep] * float(np.mean([values[p] for p in group]))

@@ -44,6 +44,8 @@ from relcd.skeleton import (
 )
 from tests.conftest import propositional_model, single_entity_schema
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = 2
 
 

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcd
 from relcd.ci import (
     CIQuery,
-    CIStats,
     OracleCI,
     RegressionCI,
     SepsetStore,
@@ -17,8 +23,8 @@ from relcd.model import (
     class_dependency_graph,
     random_model,
 )
-from relcd.schema import AttributeClass, random_schema
-from relcd.skeleton import ground_graph, random_skeleton, sample_data
+from relcd.schema import AttributeClass, random_schema, schema_to_json
+from relcd.skeleton import ground_graph, random_skeleton, sample_data, save_skeleton
 from tests.conftest import propositional_model, single_entity_schema, var
 
 
@@ -217,6 +223,47 @@ def test_regression_invariant_to_row_order(movie_schema, movie_truth):
     ).independent(q)
 
 
+COLUMN_BYTES = """
+import sys
+from pathlib import Path
+from relcd.ci import RegressionCI
+from relcd.model import parse_variable
+from relcd.schema import schema_from_json
+from relcd.skeleton import load_skeleton
+d = Path(sys.argv[1])
+schema = schema_from_json((d / "schema.json").read_text())
+backend = RegressionCI(load_skeleton(schema, d / "manifest.json"))
+for text in sys.argv[2:]:
+    col, ok = backend._column(parse_variable(text))
+    sys.stdout.write(col.tobytes().hex() + ok.tobytes().hex() + "\\n")
+"""
+
+
+def test_regression_columns_independent_of_hash_seed(tmp_path, movie_truth):
+    # terminal sets are sets of instance ids, iterated in hash order
+    skel = random_skeleton(movie_truth.schema, {"ACTOR": 60, "MOVIE": 60}, 3.0, seed=2)
+    values = sample_data(ground_graph(movie_truth, skel), seed=3)
+    save_skeleton(skel.with_values(values), tmp_path)
+    (tmp_path / "schema.json").write_text(schema_to_json(movie_truth.schema))
+    src = str(Path(relcd.__file__).resolve().parent.parent)
+    variables = [str(POP_VIA_MOVIE), str(COSTAR_POP), str(OTHER_SUCCESS)]
+
+    def columns(hash_seed):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": str(hash_seed),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        return subprocess.run(
+            [sys.executable, "-c", COLUMN_BYTES, str(tmp_path), *variables],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    first = columns(0)
+    assert len(first.splitlines()) == len(variables)
+    assert columns(1) == first
+
+
 def test_regression_facade(movie_data):
     query = CIQuery("ACTOR", POP, COSTAR_POP)
     assert RegressionCI(movie_data).independent(query) is True
@@ -225,7 +272,7 @@ def test_regression_facade(movie_data):
 def test_find_sepset_movie(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
     store = SepsetStore()
-    stats = CIStats()
+    stats = Counter()
     sep = find_sepset(
         backend,
         POP,
@@ -238,7 +285,7 @@ def test_find_sepset_movie(movie_truth):
     )
     assert sep == frozenset()
     assert store.get(POP, COSTAR_POP) == frozenset()
-    assert stats.counts["probe"] == 1
+    assert stats["probe"] == 1
 
 
 def test_find_sepset_none_for_direct_dependency(movie_truth):
@@ -250,19 +297,19 @@ def test_find_sepset_none_for_direct_dependency(movie_truth):
 
 def test_find_sepset_empty_pool(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
-    stats = CIStats()
+    stats = Counter()
     sep = find_sepset(backend, POP, COSTAR_POP, [], 0, stats=stats)
     assert sep == frozenset()
-    assert stats.total == 1
+    assert stats.total() == 1
 
 
 def test_stats_match_backend_invocations(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
-    stats = CIStats()
+    stats = Counter()
     find_sepset(
         backend, POP_VIA_MOVIE, SUCCESS, [OTHER_SUCCESS], 2, stats=stats
     )
-    assert stats.total == backend.calls
+    assert stats.total() == backend.calls
 
 
 def test_sepset_store_keeps_first():
@@ -272,10 +319,3 @@ def test_sepset_store_keeps_first():
     assert store.get(POP, COSTAR_POP) == frozenset()
     assert len(store) == 1
 
-
-def test_cistats_merge():
-    a = CIStats({"phase1": 2})
-    b = CIStats({"phase1": 1, "phase2_cd": 4})
-    a.merge(b)
-    assert a.counts == {"phase1": 3, "phase2_cd": 4}
-    assert a.total == 7

@@ -88,6 +88,27 @@ def test_learn_requires_one_backend(movie_files):
     assert run(["learn", "--schema", schema_path]) == 2
 
 
+@pytest.mark.parametrize("runs", [0, -4])
+def test_learn_rejects_runs_below_one(movie_files, runs):
+    schema_path, model_path = movie_files
+    argv = ["learn", "--schema", schema_path, "--model", model_path, "--runs", runs]
+    assert run(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        "ACTOR=5,MOVIE=5,DIRECTOR=4",  # unknown entity class
+        "ACTOR=5,MOVIE=5,ACTOR=6",  # repeated entity class
+    ],
+)
+def test_gen_skeleton_rejects_bad_sizes(tmp_path, movie_files, sizes):
+    schema_path, _ = movie_files
+    argv = ["gen", "skeleton", "--schema", schema_path, "--sizes", sizes, "-o", tmp_path / "s"]
+    assert run(argv) == 2
+    assert not (tmp_path / "s").exists()
+
+
 def test_dsep_command(capsys, movie_files):
     schema_path, model_path = movie_files
     code = run(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd.agg import build_all, orient
-from relcd.ci import CIQuery, CIStats, OracleCI, SepsetStore
+from relcd.ci import CIQuery, OracleCI, SepsetStore
 from relcd.errors import Infeasible
 from relcd.model import (
     RelationalModel,
@@ -223,11 +223,14 @@ def test_oracle_learning_sound_and_exact(seed, deps):
 def test_majority_vote_oracle_equals_single_run(movie_truth):
     backend = OracleCI(movie_truth, 8)
     single = rcd_learn(movie_truth.schema, backend, LearnConfig())
+    calls_before = backend.calls
     vote = majority_vote(
         movie_truth.schema, backend, LearnConfig(seed=4), runs=5
     )
     assert vote.directed == single.directed
     assert vote.undirected == single.undirected
+    # the vote's counts merge every run's
+    assert vote.stats.total() == backend.calls - calls_before
 
 
 class FlakyOnFirstRun:

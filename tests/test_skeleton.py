@@ -1,9 +1,11 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd.errors import Infeasible
+from relcd.harness import generate_case
 from relcd.model import RelationalModel, random_model
 from relcd.paths import path
 from relcd.schema import Cardinality, random_schema
@@ -198,6 +200,35 @@ def test_sample_data_single_edge_correlation():
     corr = np.corrcoef(xs, ys)[0, 1]
     # |coef| in [0.3, 0.7] implies |corr| = |c|/sqrt(1+c^2) in about [0.29, 0.58]
     assert 0.2 <= abs(corr) <= 0.65
+
+
+def node_order_sample(gg, seed, coeff_range=(0.3, 0.7), noise_sd=1.0):
+    """Reference sampler: the same draws, taken node by node in a
+    lexicographic topological order of the whole ground graph."""
+    rng = np.random.default_rng(seed)
+    coeffs = {
+        d: float(rng.uniform(*coeff_range)) * float(rng.choice((-1.0, 1.0)))
+        for d in gg.model.dependencies
+    }
+    ordered = sorted(gg.nodes)
+    noise = dict(zip(ordered, rng.normal(0.0, noise_sd, size=len(ordered))))
+    values = {}
+    for node in nx.lexicographical_topological_sort(gg.to_networkx()):
+        total = noise[node]
+        for d, group in gg.parents.get(node, {}).items():
+            total += coeffs[d] * float(np.mean([values[p] for p in group]))
+        values[node] = float(total)
+    return values
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_sample_data_matches_node_order_reference(case):
+    schema, model = generate_case(3, 6, 4, np.random.SeedSequence(entropy=case))
+    assert len(model.dependencies) >= 5
+    skel = random_skeleton(schema, dict.fromkeys(schema.entity_names, 15), 1.0, seed=case)
+    gg = ground_graph(model, skel)
+    assert gg.parents  # the ground graph has edges to respect
+    assert sample_data(gg, seed=case) == node_order_sample(gg, seed=case)
 
 
 def test_sample_data_deterministic(movie_truth, tiny_movie_skeleton):

@@ -3,20 +3,20 @@
 Two interchangeable backends answer queries between relational variables of
 a shared perspective: an exact graphical oracle over the fully directed
 lifted graphs of a known model, and a regression test on skeleton data that
-averages each variable over its terminal sets. A separating-set search sits
-on top; it counts its tests per label in a ``collections.Counter``.
+averages each variable over its terminal sets, taken one relational path at
+a time from ``skeleton.terminal_sets``. A separating-set search sits on top;
+it counts its tests per label in a ``collections.Counter``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import sparse, special
 
 from .agg import DirectedSnapshot, build_agg
 from .model import (
@@ -25,7 +25,8 @@ from .model import (
     canonical_pair,
     variable_key,
 )
-from .skeleton import Skeleton, terminal_set
+from .paths import RelationalPath
+from .skeleton import Skeleton, terminal_sets
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,12 @@ class RegressionCI:
 
     One row per perspective instance; each variable column is the mean of
     its terminal-set values, and rows touching an empty terminal set are
-    dropped. Dependence requires the regressor of interest to be both
-    significant at ``alpha`` and above the standardized effect threshold.
+    dropped. Terminal sets come from ``terminal_sets`` once per relational
+    path and are shared by every attribute on that path. Dependence
+    requires the regressor of interest to be both significant at ``alpha``
+    and above the standardized effect threshold. A query with too few
+    usable rows, or with a constant column, is reported independent and
+    counted in ``outcomes`` (``too_few_rows``, ``zero_variance``).
     """
 
     def __init__(
@@ -141,26 +146,45 @@ class RegressionCI:
         self.alpha = alpha
         self.effect_threshold = effect_threshold
         self.calls = 0
+        self.outcomes: Counter = Counter()
         self._columns: dict[RelationalVariable, tuple[np.ndarray, np.ndarray]] = {}
+        self._reach: dict[RelationalPath, sparse.csr_array] = {}
+        self._values: dict[tuple[str, str], np.ndarray] = {}
         self._memo: dict[tuple, bool] = {}
 
     def _column(self, var: RelationalVariable) -> tuple[np.ndarray, np.ndarray]:
         cached = self._columns.get(var)
         if cached is not None:
             return cached
-        skel = self.skeleton
+        reach = self._reach.get(var.path)
+        if reach is None:
+            reach = self._reach[var.path] = terminal_sets(self.skeleton, var.path)
         cls = var.path.last
-        rows = skel.instances_of(var.perspective)
-        col = np.zeros(len(rows))
-        ok = np.zeros(len(rows), dtype=bool)
-        for i, inst in enumerate(rows):
-            reached = terminal_set(skel, var.path, inst)
-            if reached:
-                # fsum is exact, so the set's iteration order cannot matter
-                col[i] = math.fsum(
-                    skel.values[(cls, r, var.attribute)] for r in reached
-                ) / len(reached)
-                ok[i] = True
+        values = self._values.get((cls, var.attribute))
+        if values is None:
+            values = self._values[(cls, var.attribute)] = np.array(
+                [
+                    self.skeleton.values[(cls, inst, var.attribute)]
+                    for inst in self.skeleton.instances_of(cls)
+                ]
+            )
+        picked = values[reach.indices]
+        starts = reach.indptr[:-1]
+        counts = np.diff(reach.indptr)
+        col = np.zeros(len(counts))
+        # fsum is exact, so the mean cannot depend on summation order. One
+        # IEEE add is correctly rounded too, so rows of one or two members
+        # match it; adding 0.0 turns -0.0 into the 0.0 fsum returns.
+        one = np.flatnonzero(counts == 1)
+        col[one] = picked[starts[one]] + 0.0
+        two = np.flatnonzero(counts == 2)
+        col[two] = (picked[starts[two]] + picked[starts[two] + 1] + 0.0) / 2
+        flat = picked.tolist()
+        bounds = reach.indptr.tolist()
+        for i in np.flatnonzero(counts > 2).tolist():
+            lo, hi = bounds[i], bounds[i + 1]
+            col[i] = math.fsum(flat[lo:hi]) / (hi - lo)
+        ok = counts > 0
         self._columns[var] = (col, ok)
         return col, ok
 
@@ -181,19 +205,13 @@ class RegressionCI:
         )
         mask = np.logical_and.reduce(masks)
         n = int(mask.sum())
-        p = 1 + len(cond)
-        if n < p + 2:
-            raise ValueError(
-                f"only {n} usable rows for {p} regressors in {query.perspective} query"
-            )
+        if n < len(cond) + 3:
+            self.outcomes["too_few_rows"] += 1
+            return True
         data = [c[mask] for c in cols]
-        for v, c in zip((query.x, query.y, *cond), data):
-            if float(np.std(c)) == 0.0:
-                warnings.warn(
-                    f"zero-variance column {v}; reporting independence",
-                    stacklevel=2,
-                )
-                return True
+        if any(float(np.std(c)) == 0.0 for c in data):
+            self.outcomes["zero_variance"] += 1
+            return True
         xcol, ycol = data[0], data[1]
         design = np.column_stack([np.ones(n), xcol, *data[2:]])
         beta, _, _, _ = np.linalg.lstsq(design, ycol, rcond=None)
@@ -205,7 +223,8 @@ class RegressionCI:
         if se == 0.0:
             pval = 0.0
         else:
-            pval = 2.0 * float(scipy_stats.t.sf(abs(beta[1]) / se, dof))
+            # the Student-t survival function, without importing scipy.stats
+            pval = 2.0 * float(special.stdtr(dof, -abs(beta[1]) / se))
         std_coef = float(beta[1]) * float(np.std(xcol)) / float(np.std(ycol))
         dependent = pval < self.alpha and abs(std_coef) >= self.effect_threshold
         return not dependent

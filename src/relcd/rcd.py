@@ -382,6 +382,8 @@ def majority_vote(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must lie in (0, 1]")
     seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=runs)
     presence: Counter = Counter()
     direction: Counter = Counter()

@@ -4,6 +4,12 @@ A skeleton holds entity and relationship instances conforming to a schema.
 Pairing a skeleton with a model instantiates every dependency into a
 directed graph over (instance, attribute) nodes, from which synthetic
 linear-Gaussian data can be sampled.
+
+``terminal_sets`` follows a relational path from every perspective instance
+at once, as boolean products of the skeleton's sparse hop incidence
+matrices; the regression backend and ``ground_graph`` use it.
+``terminal_set`` walks one instance with Python sets and is the reference
+that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from pathlib import Path
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from .errors import Infeasible
 from .model import RelationalModel, class_dependency_graph
@@ -61,12 +68,36 @@ class Skeleton:
                 )
         object.__setattr__(self, "_incident", incident)
         object.__setattr__(self, "_ends", ends)
+        # instance id -> row/column position in the hop matrices
         object.__setattr__(
             self,
-            "_members",
-            {cls: frozenset(self.instances_of(cls)) for cls in self.schema.item_classes},
+            "_positions",
+            {
+                cls: {inst: i for i, inst in enumerate(self.instances_of(cls))}
+                for cls in self.schema.item_classes
+            },
         )
         self._check()
+        object.__setattr__(self, "_hops", self._hop_matrices())
+
+    def _hop_matrices(self) -> dict[tuple[str, str], sparse.csr_array]:
+        """Boolean incidence per (entity, relationship) hop, both directions."""
+        hops = {}
+        for rel in self.schema.relationships:
+            rel_links = self.links[rel.name]
+            link_pos = np.arange(len(rel_links))
+            for side, entity in enumerate(rel.participants):
+                pos = self._positions[entity]
+                ent_pos = np.fromiter(
+                    (pos[link[1 + side]] for link in rel_links), np.intp, len(rel_links)
+                )
+                to_rel = sparse.csr_array(
+                    (np.ones(len(rel_links), dtype=bool), (ent_pos, link_pos)),
+                    shape=(len(pos), len(rel_links)),
+                )
+                hops[(entity, rel.name)] = to_rel
+                hops[(rel.name, entity)] = to_rel.T.tocsr()
+        return hops
 
     def instances_of(self, cls: str) -> tuple[str, ...]:
         if self.schema.is_entity(cls):
@@ -74,10 +105,13 @@ class Skeleton:
         return tuple(link[0] for link in self.links[cls])
 
     def _check(self) -> None:
+        for cls, pos in self._positions.items():
+            if len(pos) != len(self.instances_of(cls)):
+                raise ValueError(f"duplicate {cls} instance ids")
         for rel_name, rel_links in self.links.items():
             rel = self.schema.item_classes[rel_name]
-            known1 = self._members[rel.participants[0]]
-            known2 = self._members[rel.participants[1]]
+            known1 = self._positions[rel.participants[0]]
+            known2 = self._positions[rel.participants[1]]
             for link_id, e1, e2 in rel_links:
                 if e1 not in known1:
                     raise ValueError(
@@ -121,7 +155,7 @@ def terminal_set(skeleton: Skeleton, path: RelationalPath, start: str) -> set[st
     back onto where they came from.
     """
     schema = skeleton.schema
-    if start not in skeleton._members[path.perspective]:  # noqa: SLF001
+    if start not in skeleton._positions[path.perspective]:  # noqa: SLF001
         raise ValueError(
             f"{start!r} is not an instance of perspective class {path.perspective!r}"
         )
@@ -142,6 +176,30 @@ def terminal_set(skeleton: Skeleton, path: RelationalPath, start: str) -> set[st
         nxt -= burned.get(cls, set())
         burned.setdefault(cls, set()).update(nxt)
         frontier = nxt
+    return frontier
+
+
+def terminal_sets(skeleton: Skeleton, path: RelationalPath) -> sparse.csr_array:
+    """Terminal sets of every perspective instance at once.
+
+    Row ``i`` marks the instances of ``path.last`` that ``terminal_set``
+    reaches from the ``i``-th instance of ``path.perspective``; rows and
+    columns follow ``instances_of`` order, which is sorted. Each hop is a
+    boolean product with the hop's incidence matrix, masked by what each
+    row has already visited of the class it lands on.
+    """
+    n = len(skeleton._positions[path.perspective])  # noqa: SLF001
+    frontier = sparse.csr_array(sparse.identity(n, dtype=bool))
+    burned = {path.perspective: frontier}
+    for prev_cls, cls in zip(path.items, path.items[1:]):
+        frontier = frontier @ skeleton._hops[(prev_cls, cls)]  # noqa: SLF001
+        seen = burned.get(cls)
+        if seen is None:
+            burned[cls] = frontier
+        else:
+            frontier = frontier > seen
+            burned[cls] = seen + frontier
+    frontier.sort_indices()
     return frontier
 
 
@@ -253,13 +311,19 @@ def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
     for dep in model.dependencies:
         effect_cls = dep.effect.path.last
         cause_cls = dep.cause.path.last
-        for inst in skeleton.instances_of(effect_cls):
-            reached = terminal_set(skeleton, dep.cause.path, inst)
-            if not reached:
+        reach = terminal_sets(skeleton, dep.cause.path)
+        # columns follow the sorted instance order, so each group is sorted
+        causes = [
+            (cause_cls, r, dep.cause.attribute) for r in skeleton.instances_of(cause_cls)
+        ]
+        indptr = reach.indptr.tolist()
+        indices = reach.indices.tolist()
+        for i, inst in enumerate(skeleton.instances_of(effect_cls)):
+            lo, hi = indptr[i], indptr[i + 1]
+            if lo == hi:
                 continue
             child = (effect_cls, inst, dep.effect.attribute)
-            group = tuple((cause_cls, r, dep.cause.attribute) for r in sorted(reached))
-            parents.setdefault(child, {})[dep] = group
+            parents.setdefault(child, {})[dep] = tuple(causes[j] for j in indices[lo:hi])
     return GroundGraph(model, nodes, parents)
 
 

@@ -95,6 +95,16 @@ def test_learn_rejects_runs_below_one(movie_files, runs):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("threshold", [1.5, 0, -0.2])
+def test_learn_rejects_vote_threshold_outside_unit_interval(movie_files, threshold):
+    schema_path, model_path = movie_files
+    argv = [
+        "learn", "--schema", schema_path, "--model", model_path,
+        "--runs", 3, "--vote-threshold", threshold,
+    ]
+    assert run(argv) == 2
+
+
 @pytest.mark.parametrize(
     "sizes",
     [

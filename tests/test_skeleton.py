@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import RelationalModel, random_model
-from relcd.paths import path
+from relcd.paths import enumerate_paths, path
 from relcd.schema import Cardinality, random_schema
 from relcd.skeleton import (
     Skeleton,
@@ -18,6 +18,7 @@ from relcd.skeleton import (
     sample_data,
     save_skeleton,
     terminal_set,
+    terminal_sets,
 )
 from tests.conftest import dep, single_entity_schema
 
@@ -117,6 +118,75 @@ def test_terminal_set_reverse_containment(movie_schema, seed):
     for a in skel.instances["ACTOR"]:
         for m in terminal_set(skel, forward, a):
             assert a in terminal_set(skel, backward, m)
+
+
+def assert_terminal_sets_match(skel, hops=6):
+    """Every row of ``terminal_sets`` is the sorted reference terminal set."""
+    for cls in skel.schema.item_classes:
+        starts = skel.instances_of(cls)
+        for p in enumerate_paths(skel.schema, cls, hops):
+            reach = terminal_sets(skel, p)
+            targets = skel.instances_of(p.last)
+            assert reach.shape == (len(starts), len(targets))
+            for i, inst in enumerate(starts):
+                row = reach.indices[reach.indptr[i] : reach.indptr[i + 1]]
+                assert [targets[j] for j in row] == sorted(terminal_set(skel, p, inst))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(1, 4),
+    density=st.sampled_from((0.5, 1.0, 2.0)),
+    emptied=st.integers(0, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_terminal_sets_match_reference(seed, num_entities, density, emptied):
+    # random schemas mix ONE and MANY; paths start at entities and relationships
+    schema = random_schema(seed, num_entities)
+    sizes = {e.name: 2 + (seed + k) % 5 for k, e in enumerate(schema.entities)}
+    try:
+        skel = random_skeleton(schema, sizes, density, seed=seed)
+    except Infeasible:
+        skel = random_skeleton(schema, sizes, 1.0, seed=seed)
+    if emptied < len(schema.relationships):
+        # a relationship with zero links
+        links = {**skel.links, schema.relationships[emptied].name: ()}
+        skel = Skeleton(schema, skel.instances, links)
+    assert_terminal_sets_match(skel)
+
+
+@given(seed=st.integers(0, 3000))
+@settings(max_examples=15, deadline=None)
+def test_terminal_sets_revisiting_paths(movie_schema, seed):
+    # MANY/MANY: paths such as [ACTOR, STARS-IN, MOVIE, STARS-IN, ACTOR, ...]
+    # come back to classes they have already visited
+    skel = random_skeleton(movie_schema, {"ACTOR": 7, "MOVIE": 6}, 2.0, seed=seed)
+    assert_terminal_sets_match(skel)
+
+
+def test_terminal_sets_no_links(movie_schema):
+    skel = Skeleton(
+        movie_schema,
+        instances={"ACTOR": ("a1", "a2"), "MOVIE": ("m1",)},
+        links={"STARS-IN": ()},
+    )
+    assert terminal_sets(skel, path("ACTOR", "STARS-IN", "MOVIE")).nnz == 0
+    assert_terminal_sets_match(skel)
+
+
+def test_skeleton_rejects_duplicate_ids(movie_schema):
+    with pytest.raises(ValueError, match="duplicate ACTOR"):
+        Skeleton(
+            movie_schema,
+            instances={"ACTOR": ("a1", "a1"), "MOVIE": ("m1",)},
+            links={"STARS-IN": (("s1", "a1", "m1"),)},
+        )
+    with pytest.raises(ValueError, match="duplicate STARS-IN"):
+        Skeleton(
+            movie_schema,
+            instances={"ACTOR": ("a1", "a2"), "MOVIE": ("m1",)},
+            links={"STARS-IN": (("s1", "a1", "m1"), ("s1", "a2", "m1"))},
+        )
 
 
 def test_ground_graph_movie_example(movie_truth, tiny_movie_skeleton):

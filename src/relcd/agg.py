@@ -1,14 +1,16 @@
 """Per-perspective lifted dependency graphs with shared orientation state.
 
 Each perspective gets a graph over the relational variables reachable from
-it. A single canonical dependency can support many edges within and across
-these graphs, so direction is not stored on edges: every edge carries the
-unordered dependency pair that produced it, and a registry shared by the
-whole set maps each pair to its current orientation. Orienting a pair
-therefore directs every supporting edge everywhere at once.
+it, interned once as integer ids in ``variable_key`` order: adjacency,
+edges, triples and the orientation rules work on ids, so sorting ids sorts
+variables canonically. A single canonical dependency can support many edges
+within and across these graphs, so direction is not stored on edges: every
+edge carries the unordered dependency pair that produced it, and a registry
+shared by the whole set maps each pair to its current orientation.
+Orienting a pair therefore directs every supporting edge everywhere at once.
 
-Once every pair is oriented, ``DirectedSnapshot`` indexes a graph's parents
-and children by integer and answers d-separation; the oracle backend and
+Once every pair is oriented, ``DirectedSnapshot`` lists a graph's parents
+and children by id and answers d-separation; the oracle backend and
 ``d_separated`` both query it.
 """
 
@@ -28,49 +30,51 @@ from .paths import extend as extend_path
 from .paths import enumerate_paths
 from .schema import Schema
 
-EdgeKey = frozenset  # frozenset of two RelationalVariable endpoints
-
 Registry = dict  # canonical pair -> oriented RelationalDependency | None
 
 
 @dataclass(frozen=True)
 class Agg:
-    """One perspective's lifted graph.
+    """One perspective's lifted graph, over integer node ids.
 
-    ``edge_pairs`` maps each unordered edge to the dependency pairs that
-    support it. Distinct pairs can support one edge when two cause paths
-    connect the same attribute classes within the hop budget; they always
-    relate the same attribute classes, so direction stays well defined.
+    ``nodes`` holds the perspective's variables in ``variable_key`` order;
+    a variable's id is its position there, and ``index`` maps it back.
+    ``adjacency[i]`` is the set of ids adjacent to node ``i``, and
+    ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the dependency
+    pairs that support it. Distinct pairs can support one edge when two
+    cause paths connect the same attribute classes within the hop budget;
+    they always relate the same attribute classes, so direction stays well
+    defined.
     """
 
     perspective: str
-    nodes: frozenset[RelationalVariable]
-    adjacency: dict[RelationalVariable, frozenset[RelationalVariable]]
-    edge_pairs: dict[EdgeKey, tuple[RelationalDependency, ...]]
+    nodes: tuple[RelationalVariable, ...]
+    index: dict[RelationalVariable, int]
+    adjacency: tuple[frozenset[int], ...]
+    edge_pairs: dict[tuple[int, int], tuple[RelationalDependency, ...]]
     registry: Registry
 
-    def neighbors(self, v: RelationalVariable) -> frozenset[RelationalVariable]:
-        return self.adjacency.get(v, frozenset())
+    def is_adjacent(self, i: int, j: int) -> bool:
+        return j in self.adjacency[i]
 
-    def is_adjacent(self, u: RelationalVariable, v: RelationalVariable) -> bool:
-        return v in self.adjacency.get(u, ())
+    def pairs_of(self, i: int, j: int) -> tuple[RelationalDependency, ...]:
+        """The dependency pairs supporting edge i - j, in either order."""
+        return self.edge_pairs[(i, j) if i < j else (j, i)]
 
-    def edge_direction(
-        self, u: RelationalVariable, v: RelationalVariable
-    ) -> tuple[RelationalVariable, RelationalVariable] | None:
-        """(source, target) for a directed edge, None while undirected.
+    def edge_direction(self, i: int, j: int) -> tuple[int, int] | None:
+        """(source, target) ids for a directed edge, None while undirected.
 
         All pairs supporting an edge relate the same two attribute classes,
         so any oriented one fixes the direction; inconsistencies between
         them are refused at orientation time.
         """
-        for pair in self.edge_pairs[frozenset((u, v))]:
+        for pair in self.pairs_of(i, j):
             oriented = self.registry[pair]
             if oriented is None:
                 continue
-            if u.attribute_class == oriented.cause.attribute_class:
-                return (u, v)
-            return (v, u)
+            if self.nodes[i].attribute_class == oriented.cause.attribute_class:
+                return (i, j)
+            return (j, i)
         return None
 
     def edges(
@@ -78,14 +82,11 @@ class Agg:
     ) -> list[tuple[RelationalVariable, RelationalVariable, bool]]:
         """(a, b, directed) triples; directed edges point a -> b."""
         out = []
-        for key in self.edge_pairs:
-            u, v = sorted(key, key=variable_key)
-            direction = self.edge_direction(u, v)
-            if direction is None:
-                out.append((u, v, False))
-            else:
-                out.append((*direction, True))
-        return sorted(out, key=lambda e: (variable_key(e[0]), variable_key(e[1])))
+        for i, j in self.edge_pairs:
+            direction = self.edge_direction(i, j)
+            out.append((*(direction or (i, j)), direction is not None))
+        nodes = self.nodes
+        return [(nodes[a], nodes[b], directed) for a, b, directed in sorted(out)]
 
     def is_fully_directed(self) -> bool:
         return all(
@@ -136,29 +137,36 @@ def build_agg(
     by_last: dict[str, list] = {}
     for p in paths:
         by_last.setdefault(p.last, []).append(p)
-    nodes = frozenset(
-        RelationalVariable(p, attr)
-        for p in paths
-        for attr in schema.attributes_of(p.last)
+    nodes = tuple(
+        sorted(
+            {
+                RelationalVariable(p, attr)
+                for p in paths
+                for attr in schema.attributes_of(p.last)
+            },
+            key=variable_key,
+        )
     )
-    supports: dict[EdgeKey, set[RelationalDependency]] = {}
-    adjacency: dict[RelationalVariable, set[RelationalVariable]] = {}
+    index = {v: i for i, v in enumerate(nodes)}
+    supports: dict[tuple[int, int], set[RelationalDependency]] = {}
+    adjacency: list[set[int]] = [set() for _ in nodes]
     for dep in deps:
         effect_cls = dep.effect.path.last
         pair = canonical_pair(dep)
         for q in by_last.get(effect_cls, ()):
-            v = RelationalVariable(q, dep.effect.attribute)
+            v = index[RelationalVariable(q, dep.effect.attribute)]
             for source_path in extend_path(
                 q, dep.cause.path, schema, node_hops + 1
             ):
-                u = RelationalVariable(source_path, dep.cause.attribute)
-                supports.setdefault(frozenset((u, v)), set()).add(pair)
-                adjacency.setdefault(u, set()).add(v)
-                adjacency.setdefault(v, set()).add(u)
+                u = index[RelationalVariable(source_path, dep.cause.attribute)]
+                supports.setdefault((min(u, v), max(u, v)), set()).add(pair)
+                adjacency[u].add(v)
+                adjacency[v].add(u)
     return Agg(
         perspective=perspective,
         nodes=nodes,
-        adjacency={v: frozenset(n) for v, n in adjacency.items()},
+        index=index,
+        adjacency=tuple(frozenset(n) for n in adjacency),
         edge_pairs={k: tuple(sorted(p, key=str)) for k, p in supports.items()},
         registry=registry,
     )
@@ -225,14 +233,14 @@ def oriented_aggset(model, node_hops: int) -> AggSet:
 
 
 def unshielded_triples(agg: Agg):
-    """(x, y, z) with x-y and y-z adjacent but x, z non-adjacent.
+    """(x, y, z) ids with x-y and y-z adjacent but x, z non-adjacent.
 
     Emitted in canonical order: middles ascending, then endpoint pairs
-    ascending with x < z under the variable ordering.
+    ascending with x < z.
     """
     out = []
-    for y in sorted(agg.adjacency, key=variable_key):
-        nbrs = sorted(agg.adjacency[y], key=variable_key)
+    for y, adjacent in enumerate(agg.adjacency):
+        nbrs = sorted(adjacent)
         for i, x in enumerate(nbrs):
             for z in nbrs[i + 1 :]:
                 if not agg.is_adjacent(x, z):
@@ -241,23 +249,21 @@ def unshielded_triples(agg: Agg):
 
 
 class DirectedSnapshot:
-    """Integer-indexed parents/children of one fully directed lifted graph.
+    """Parents/children, by node id, of one fully directed lifted graph.
 
     The only d-separation kernel: ``d_separated`` walks active trails
-    between two node indices by ball passing.
+    between two node ids by ball passing. ``index`` is the graph's own.
     """
 
     def __init__(self, agg):
-        nodes = sorted(agg.nodes, key=variable_key)
-        self.index = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
+        self.index = agg.index
+        n = len(agg.nodes)
         parents: list[list[int]] = [[] for _ in range(n)]
         children: list[list[int]] = [[] for _ in range(n)]
-        for key in agg.edge_pairs:
-            u, v = tuple(key)
-            src, dst = agg.edge_direction(u, v)
-            children[self.index[src]].append(self.index[dst])
-            parents[self.index[dst]].append(self.index[src])
+        for i, j in agg.edge_pairs:
+            src, dst = agg.edge_direction(i, j)
+            children[src].append(dst)
+            parents[dst].append(src)
         self.parents = parents
         self.children = children
 
@@ -314,14 +320,14 @@ def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
     the kernel answers pair by pair.
     """
     for v in (*x, *y, *z):
-        if v not in agg.nodes:
+        if v not in agg.index:
             raise ValueError(f"{v} is not a node of the {agg.perspective} graph")
     if (x & y) or (x & z) or (y & z):
         raise ValueError("query sets must be disjoint")
     if not agg.is_fully_directed():
         raise ValueError("graph has undirected edges; orient all dependencies first")
     snap = DirectedSnapshot(agg)
-    index = snap.index
+    index = agg.index
     zi = frozenset(index[v] for v in z)
     return all(snap.d_separated(index[a], index[b], zi) for a in x for b in y)
 
@@ -330,10 +336,10 @@ def agg_to_dot(agg: Agg) -> str:
     """DOT rendering: directed edges with arrows, undirected without."""
     lines = [f'digraph "{agg.perspective}" {{']
     lines.append("  node [shape=box, fontsize=10];")
-    for v in sorted(agg.nodes, key=variable_key):
+    for v in agg.nodes:
         lines.append(f'  "{v}";')
     for a, b, directed in agg.edges():
-        pairs = "; ".join(str(p) for p in agg.edge_pairs[frozenset((a, b))])
+        pairs = "; ".join(str(p) for p in agg.pairs_of(agg.index[a], agg.index[b]))
         style = "" if directed else ", dir=none"
         lines.append(f'  "{a}" -> "{b}" [tooltip="{pairs}"{style}];')
     lines.append("}")

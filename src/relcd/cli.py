@@ -99,6 +99,8 @@ def cmd_learn(args) -> None:
         raise ValueError("provide exactly one of --model (oracle) or --data")
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
+    if not 0 < args.vote_threshold <= 1:
+        raise ValueError("--vote-threshold must lie in (0, 1]")
     if args.model:
         backend = OracleCI(_read_model(args.model), hops=args.oracle_hops)
     else:

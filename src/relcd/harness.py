@@ -7,7 +7,6 @@ pattern against the truth. Results aggregate into one CSV row per cell.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ class TrialMetrics:
     skeleton_recall: float
     oriented_precision: float
     oriented_recall: float
-    none_directed: bool
     rule_counts: dict[str, int]
     ci_tests: int
 
@@ -53,7 +51,7 @@ class TrialMetrics:
 def score(learned: LearnedPattern, truth: RelationalModel) -> TrialMetrics:
     """Precision/recall of the learned skeleton and of its directed part.
 
-    Oriented precision is 1.0 (flagged) when nothing was directed.
+    Oriented precision is 1.0 when nothing was directed.
     """
     if learned.schema != truth.schema:
         raise ValueError("learned pattern and truth use different schemas")
@@ -68,7 +66,6 @@ def score(learned: LearnedPattern, truth: RelationalModel) -> TrialMetrics:
         skeleton_recall=tp / len(truth_pairs) if truth_pairs else 1.0,
         oriented_precision=correct / n_directed if n_directed else 1.0,
         oriented_recall=correct / len(true_deps) if true_deps else 1.0,
-        none_directed=n_directed == 0,
         rule_counts=learned.rule_counts,
         ci_tests=learned.stats.total(),
     )
@@ -119,7 +116,6 @@ def _run_oracle_trial(payload: tuple) -> dict:
     seq = np.random.SeedSequence(
         entropy=config.seed, spawn_key=(num_entities, num_deps, trial_idx)
     )
-    started = time.perf_counter()
     schema, truth = generate_case(num_entities, num_deps, config.hop_threshold, seq)
     backend = OracleCI(truth, hops=config.oracle_hops)
     learned = rcd_learn(schema, backend, learn_config)
@@ -132,11 +128,9 @@ def _run_oracle_trial(payload: tuple) -> dict:
         "skel_r": metrics.skeleton_recall,
         "orient_p": metrics.oriented_precision,
         "orient_r": metrics.oriented_recall,
-        "none_directed": metrics.none_directed,
         "rule_counts": metrics.rule_counts,
         "directed": len(learned.directed),
         "ci_tests": metrics.ci_tests,
-        "runtime": time.perf_counter() - started,
     }
 
 

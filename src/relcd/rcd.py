@@ -120,18 +120,17 @@ def phase1(
     return sorted(live, key=str), sepsets
 
 
-def _orient_edge(
-    agg_set: AggSet, agg, u: RelationalVariable, v: RelationalVariable, rule: str
-) -> bool:
-    """Direct edge u -> v by orienting every dependency pair supporting it.
+def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:
+    """Direct edge u -> v (node ids) by orienting every pair supporting it.
 
     The pairs all relate u's and v's attribute classes, and an acyclic
     model cannot direct two such pairs oppositely, so one conclusion
     orients them all.
     """
     changed = False
-    for pair in agg.edge_pairs[frozenset((u, v))]:
-        if pair.cause.attribute_class == u.attribute_class:
+    cause_class = agg.nodes[u].attribute_class
+    for pair in agg.pairs_of(u, v):
+        if pair.cause.attribute_class == cause_class:
             dep = pair
         else:
             dep = reverse_dependency(pair)
@@ -139,24 +138,22 @@ def _orient_edge(
     return changed
 
 
-def _edge_undirected(agg, u, v) -> bool:
-    return agg.edge_direction(u, v) is None
-
-
 def _triple_sepset(
     agg, sepsets, ci_backend, config, x, z, *, no_sepset, stats, label, rng
 ):
-    """Stored or freshly searched separating set for a triple's endpoints."""
-    sep = sepsets.get(x, z)
+    """Stored or freshly searched separating set for endpoint ids x < z."""
+    xv, zv = agg.nodes[x], agg.nodes[z]
+    sep = sepsets.get(xv, zv)
     if sep is None:
-        key = frozenset((x, z))
+        key = (agg.perspective, x, z)
         if key in no_sepset:
             return None
-        pool = (agg.neighbors(x) | agg.neighbors(z)) - {x, z}
+        # x and z are non-adjacent, so neither is in the other's neighbors
+        pool = [agg.nodes[k] for k in agg.adjacency[x] | agg.adjacency[z]]
         sep = find_sepset(
             ci_backend,
-            x,
-            z,
+            xv,
+            zv,
             pool,
             config.depth,
             store=sepsets,
@@ -215,7 +212,7 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
     pass so a pair is scanned at most once.
     """
     rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
-    no_sepset: set[frozenset] = set()
+    no_sepset: set[tuple[str, int, int]] = set()
     perspectives = agg_set.perspectives()
     if rng is not None:
         rng.shuffle(perspectives)
@@ -225,9 +222,11 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
         if rng is not None:
             rng.shuffle(triples)
         for x, y, z in triples:
-            if (x.attribute_class == z.attribute_class) != rbo:
+            if (agg.nodes[x].attribute_class == agg.nodes[z].attribute_class) != rbo:
                 continue
-            if not (_edge_undirected(agg, x, y) or _edge_undirected(agg, z, y)):
+            if not (
+                agg.edge_direction(x, y) is None or agg.edge_direction(z, y) is None
+            ):
                 continue
             sep = _triple_sepset(
                 agg, sepsets, ci_backend, config, x, z,
@@ -235,7 +234,7 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
             )
             if sep is None:
                 continue
-            if y not in sep:
+            if agg.nodes[y] not in sep:
                 _orient_edge(agg_set, agg, x, y, rule)
                 _orient_edge(agg_set, agg, z, y, rule)
             elif rbo:
@@ -261,24 +260,20 @@ def meek_rules(agg_set: AggSet) -> None:
 
 
 def _directed_parents(agg, y):
-    out = []
-    for nb in agg.neighbors(y):
-        direction = agg.edge_direction(nb, y)
-        if direction is not None and direction[1] == y:
-            out.append(nb)
-    return sorted(out, key=variable_key)
+    return [
+        nb for nb in sorted(agg.adjacency[y]) if agg.edge_direction(nb, y) == (nb, y)
+    ]
 
 
 def _undirected_neighbors(agg, y):
-    return sorted(
-        (nb for nb in agg.neighbors(y) if agg.edge_direction(nb, y) is None),
-        key=variable_key,
-    )
+    return [
+        nb for nb in sorted(agg.adjacency[y]) if agg.edge_direction(nb, y) is None
+    ]
 
 
 def _knc_pass(agg_set: AggSet, agg) -> bool:
     changed = False
-    for y in sorted(agg.adjacency, key=variable_key):
+    for y in range(len(agg.nodes)):
         parents = _directed_parents(agg, y)
         if not parents:
             continue
@@ -290,10 +285,10 @@ def _knc_pass(agg_set: AggSet, agg) -> bool:
 
 def _ca_pass(agg_set: AggSet, agg) -> bool:
     changed = False
-    for x in sorted(agg.adjacency, key=variable_key):
+    for x in range(len(agg.nodes)):
         for z in _undirected_neighbors(agg, x):
             # directed path x -> v -> z with v adjacent to both
-            for v in sorted(agg.neighbors(x) & agg.neighbors(z), key=variable_key):
+            for v in sorted(agg.adjacency[x] & agg.adjacency[z]):
                 if agg.edge_direction(x, v) == (x, v) and agg.edge_direction(
                     v, z
                 ) == (v, z):
@@ -304,7 +299,7 @@ def _ca_pass(agg_set: AggSet, agg) -> bool:
 
 def _mr3_pass(agg_set: AggSet, agg) -> bool:
     changed = False
-    for x in sorted(agg.adjacency, key=variable_key):
+    for x in range(len(agg.nodes)):
         undirected = _undirected_neighbors(agg, x)
         for y in undirected:
             into_y = [

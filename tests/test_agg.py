@@ -17,6 +17,7 @@ from relcd.model import (
     canonical_pair,
     random_model,
     reverse_dependency,
+    variable_key,
 )
 from relcd.schema import random_schema
 from tests.conftest import dep, propositional_model, single_entity_schema, var
@@ -114,7 +115,7 @@ def test_orient_unknown_dependency(movie_schema, movie_truth):
 def test_unshielded_triples_movie(movie_truth):
     agg = build_all(movie_truth.dependencies, movie_truth.schema, 4).aggs["ACTOR"]
     triples = unshielded_triples(agg)
-    assert [(str(x), str(y), str(z)) for x, y, z in triples] == [
+    assert [tuple(str(agg.nodes[i]) for i in triple) for triple in triples] == [
         (
             "[ACTOR].Popularity",
             "[ACTOR, STARS-IN, MOVIE].Success",
@@ -241,6 +242,44 @@ def test_rebuild_equivalence(seed):
             assert set(full_edges) - set(part_edges) == expected_missing
             for key, pairs in part_edges.items():
                 assert pairs == tuple(p for p in full_edges[key] if p != pair)
+
+
+def _reference_triples(agg):
+    # unshielded triples keyed by variable, from the exported edge list
+    adjacent = {}
+    for a, b, _ in agg.edges():
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    out = []
+    for y in sorted(adjacent, key=variable_key):
+        nbrs = sorted(adjacent[y], key=variable_key)
+        for i, x in enumerate(nbrs):
+            for z in nbrs[i + 1 :]:
+                if z not in adjacent[x]:
+                    out.append((x, y, z))
+    return out
+
+
+@given(seed=st.integers(0, 1500))
+@settings(max_examples=20, deadline=None)
+def test_node_ids_follow_variable_order(seed):
+    schema = random_schema(seed, 2 + seed % 2)
+    try:
+        model = random_model(schema, 4, seed=seed, restarts=20)
+    except Infeasible:
+        return
+    agg_set = build_all(model.dependencies, schema, 6)
+    for agg in agg_set.aggs.values():
+        assert list(agg.nodes) == sorted(agg.nodes, key=variable_key)
+        assert len(agg.index) == len(agg.nodes)
+        assert all(agg.index[v] == i for i, v in enumerate(agg.nodes))
+        assert len(agg.adjacency) == len(agg.nodes)
+        arcs = {(i, j) for i, nbrs in enumerate(agg.adjacency) for j in nbrs}
+        assert all((j, i) in arcs for i, j in arcs)
+        assert all(i < j for i, j in agg.edge_pairs)
+        assert set(agg.edge_pairs) == {(i, j) for i, j in arcs if i < j}
+        triples = [tuple(agg.nodes[i] for i in t) for t in unshielded_triples(agg)]
+        assert triples == _reference_triples(agg)
 
 
 def test_agg_to_dot(movie_truth):

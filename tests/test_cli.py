@@ -95,12 +95,18 @@ def test_learn_rejects_runs_below_one(movie_files, runs):
     assert run(argv) == 2
 
 
-@pytest.mark.parametrize("threshold", [1.5, 0, -0.2])
-def test_learn_rejects_vote_threshold_outside_unit_interval(movie_files, threshold):
+@pytest.mark.parametrize(
+    ("threshold", "runs"),
+    [(1.5, 3), (0, 3), (-0.2, 3), (1.5, 1), (0, 1)],
+    ids=["1.5", "0", "-0.2", "1.5-runs1", "0-runs1"],
+)
+def test_learn_rejects_vote_threshold_outside_unit_interval(
+    movie_files, threshold, runs
+):
     schema_path, model_path = movie_files
     argv = [
         "learn", "--schema", schema_path, "--model", model_path,
-        "--runs", 3, "--vote-threshold", threshold,
+        "--runs", runs, "--vote-threshold", threshold,
     ]
     assert run(argv) == 2
 

@@ -26,7 +26,6 @@ def test_score_perfect(movie_truth):
     assert metrics.skeleton_recall == 1.0
     assert metrics.oriented_precision == 1.0
     assert metrics.oriented_recall == 1.0
-    assert not metrics.none_directed
 
 
 def test_score_reversed_direction(movie_truth, movie_schema):
@@ -44,7 +43,6 @@ def test_score_empty_pattern_flags(movie_schema):
     null = RelationalModel(movie_schema, ())
     learned = rcd_learn(movie_schema, OracleCI(null, 8), LearnConfig())
     metrics = score(learned, null)
-    assert metrics.none_directed
     assert metrics.oriented_precision == 1.0
     assert metrics.skeleton_recall == 1.0
 
@@ -161,11 +159,9 @@ def test_aggregate_cells_rule_shares():
             "skel_r": 1.0,
             "orient_p": 1.0,
             "orient_r": 1.0,
-            "none_directed": False,
             "rule_counts": {"CD": 1, "RBO": 1, "KNC": 0, "CA": 0, "MR3": 0},
             "directed": 2,
             "ci_tests": 10,
-            "runtime": 0.1,
         }
         for t in range(4)
     ]

@@ -11,11 +11,12 @@ from relcd import (
     RegressionCI,
     ground_graph,
     majority_vote,
+    oriented_agg,
     random_skeleton,
     rcd_learn,
     sample_data,
 )
-from relcd.agg import agg_to_dot, oriented_aggset
+from relcd.agg import agg_to_dot
 from relcd.model import RelationalModel, parse_dependency
 from relcd.schema import Cardinality, EntityClass, RelationshipClass, Schema
 
@@ -41,10 +42,9 @@ def movie_domain():
 
 def main():
     schema, truth = movie_domain()
-    agg_set = oriented_aggset(truth, 4)
     for perspective in ("ACTOR", "MOVIE"):
         print(f"--- lifted graph, {perspective} perspective ---")
-        print(agg_to_dot(agg_set.aggs[perspective]))
+        print(agg_to_dot(oriented_agg(truth, perspective, 4)))
 
     oracle_pattern = rcd_learn(schema, OracleCI(truth, hops=8), LearnConfig())
     print("oracle learn:", [str(d) for d in oracle_pattern.directed])

@@ -8,7 +8,6 @@ from .agg import (
     build_all,
     d_separated,
     orient,
-    oriented_aggset,
     unshielded_triples,
 )
 from .ci import (
@@ -17,6 +16,7 @@ from .ci import (
     RegressionCI,
     SepsetStore,
     find_sepset,
+    oriented_agg,
 )
 from .errors import Infeasible
 from .harness import (
@@ -31,8 +31,6 @@ from .model import (
     RelationalModel,
     RelationalVariable,
     canonical_pair,
-    class_dependency_graph,
-    is_acyclic,
     is_canonical,
     model_from_json,
     model_to_json,

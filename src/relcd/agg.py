@@ -224,14 +224,6 @@ def orient(
     return True
 
 
-def oriented_aggset(model, node_hops: int) -> AggSet:
-    """Fully directed graphs of a model: build, then orient every dependency."""
-    agg_set = build_all(model.dependencies, model.schema, node_hops)
-    for dep in model.dependencies:
-        orient(agg_set, dep, rule="given")
-    return agg_set
-
-
 def unshielded_triples(agg: Agg):
     """(x, y, z) ids with x-y and y-z adjacent but x, z non-adjacent.
 

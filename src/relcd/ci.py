@@ -2,10 +2,11 @@
 
 Two interchangeable backends answer queries between relational variables of
 a shared perspective: an exact graphical oracle over the fully directed
-lifted graphs of a known model, and a regression test on skeleton data that
-averages each variable over its terminal sets, taken one relational path at
-a time from ``skeleton.terminal_sets``. A separating-set search sits on top;
-it counts its tests per label in a ``collections.Counter``.
+lifted graphs of a known model (``oriented_agg``), and a regression test on
+skeleton data that averages each variable over its terminal sets, taken one
+relational path at a time from ``skeleton.terminal_sets``. A separating-set
+search sits on top; it counts its tests per label in a
+``collections.Counter``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse, special
 
-from .agg import DirectedSnapshot, build_agg
+from .agg import Agg, DirectedSnapshot, build_agg
 from .model import (
     RelationalModel,
     RelationalVariable,
@@ -71,6 +72,12 @@ class SepsetStore:
         return len(self._sets)
 
 
+def oriented_agg(model: RelationalModel, perspective: str, hops: int) -> Agg:
+    """One perspective's lifted graph of a model, directed as the model is."""
+    registry = {canonical_pair(d): d for d in model.dependencies}
+    return build_agg(model.dependencies, model.schema, perspective, hops, registry)
+
+
 class OracleCI:
     """Exact relational d-separation over the true model's lifted graphs.
 
@@ -88,17 +95,7 @@ class OracleCI:
     def _snapshot(self, perspective: str) -> DirectedSnapshot:
         snap = self._snapshots.get(perspective)
         if snap is None:
-            registry = {
-                canonical_pair(d): d for d in self.model.dependencies
-            }
-            agg = build_agg(
-                self.model.dependencies,
-                self.model.schema,
-                perspective,
-                self.hops,
-                registry,
-            )
-            snap = DirectedSnapshot(agg)
+            snap = DirectedSnapshot(oriented_agg(self.model, perspective, self.hops))
             self._snapshots[perspective] = snap
         return snap
 
@@ -140,8 +137,15 @@ class RegressionCI:
         alpha: float = 0.05,
         effect_threshold: float = 0.01,
     ):
+        if not 0 < alpha < 1:
+            raise ValueError("alpha must lie in (0, 1)")
+        if not effect_threshold >= 0:
+            raise ValueError("effect_threshold must be >= 0")
         if not skeleton.values:
             raise ValueError("skeleton carries no attribute values")
+        for node in skeleton.nodes():
+            if node not in skeleton.values:
+                raise ValueError(f"skeleton has no value for {node}")
         self.skeleton = skeleton
         self.alpha = alpha
         self.effect_threshold = effect_threshold

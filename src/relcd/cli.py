@@ -10,8 +10,8 @@ import json
 import sys
 from pathlib import Path
 
-from .agg import agg_to_dot, build_agg
-from .ci import CIQuery, OracleCI, RegressionCI
+from .agg import agg_to_dot
+from .ci import CIQuery, OracleCI, RegressionCI, oriented_agg
 from .errors import Infeasible
 from .harness import (
     BENCH_COLUMNS,
@@ -20,13 +20,7 @@ from .harness import (
     bench_to_csv,
     run_bench,
 )
-from .model import (
-    canonical_pair,
-    model_from_json,
-    model_to_json,
-    parse_variable,
-    random_model,
-)
+from .model import model_from_json, model_to_json, parse_variable, random_model
 from .rcd import LearnConfig, majority_vote, pattern_to_dict, rcd_learn
 from .schema import random_schema, schema_from_json, schema_to_json
 from .skeleton import (
@@ -130,7 +124,7 @@ def _pattern_dot(pattern) -> str:
     lines = ["digraph learned {", "  node [shape=box, fontsize=10];"]
     for dep in pattern.directed:
         lines.append(f'  "{dep.cause.attribute_class}" -> "{dep.effect.attribute_class}";')
-    for pair, _rev in pattern.undirected:
+    for pair in pattern.undirected:
         lines.append(
             f'  "{pair.cause.attribute_class}" -> "{pair.effect.attribute_class}" [dir=none];'
         )
@@ -173,11 +167,7 @@ def cmd_gg_export(args) -> None:
 
 def cmd_agg_export(args) -> None:
     model = _read_model(args.model)
-    registry = {canonical_pair(d): d for d in model.dependencies}
-    agg = build_agg(
-        model.dependencies, model.schema, args.perspective, args.hops, registry
-    )
-    _write(agg_to_dot(agg), args.output)
+    _write(agg_to_dot(oriented_agg(model, args.perspective, args.hops)), args.output)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-import networkx as nx
 import numpy as np
 
 from .ci import OracleCI
@@ -36,6 +35,10 @@ class TrialConfig:
     oracle_hops: int = 8
     depth: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,8 @@ def run_trials(
     (entities, deps, trial) regardless of scheduling. ``rbo_order`` is
     validated, through the learner's config, before any trial runs.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     learn_config = LearnConfig(
         hop_threshold=config.hop_threshold, depth=config.depth, rbo_order=rbo_order
     )
@@ -294,16 +299,29 @@ def run_bench(
     return aggregate_cells(results), notes
 
 
+def _dsep_facts(variables: tuple[str, ...], edges) -> frozenset | None:
+    """Every (a, b, z) with a, b d-separated given z; None for a cyclic graph."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(variables)
+    g.add_edges_from(edges)
+    if not nx.is_directed_acyclic_graph(g):
+        return None
+    facts = set()
+    for a, b in combinations(variables, 2):
+        rest = [v for v in variables if v not in (a, b)]
+        for size in range(len(rest) + 1):
+            for z in combinations(rest, size):
+                if nx.is_d_separator(g, {a}, {b}, set(z)):
+                    facts.add((a, b, frozenset(z)))
+    return frozenset(facts)
+
+
 @lru_cache(maxsize=8)
 def _propositional_dag_classes(variables: tuple[str, ...]):
     """All DAGs over the variables, grouped by their d-separation facts."""
     pairs = list(combinations(variables, 2))
-    queries = []
-    for a, b in pairs:
-        rest = [v for v in variables if v not in (a, b)]
-        for size in range(len(rest) + 1):
-            for z in combinations(rest, size):
-                queries.append((a, b, frozenset(z)))
     classes: dict[frozenset, list[frozenset]] = {}
     for assignment in product((0, 1, 2), repeat=len(pairs)):
         edges = []
@@ -312,15 +330,9 @@ def _propositional_dag_classes(variables: tuple[str, ...]):
                 edges.append((a, b))
             elif kind == 2:
                 edges.append((b, a))
-        g = nx.DiGraph()
-        g.add_nodes_from(variables)
-        g.add_edges_from(edges)
-        if not nx.is_directed_acyclic_graph(g):
-            continue
-        facts = frozenset(
-            (a, b, z) for a, b, z in queries if nx.is_d_separator(g, {a}, {b}, set(z))
-        )
-        classes.setdefault(facts, []).append(frozenset(edges))
+        facts = _dsep_facts(variables, edges)
+        if facts is not None:
+            classes.setdefault(facts, []).append(frozenset(edges))
     return classes
 
 
@@ -339,19 +351,7 @@ def brute_force_pattern(schema: Schema, truth: RelationalModel) -> dict:
     true_edges = frozenset(
         (d.cause.attribute, d.effect.attribute) for d in truth.dependencies
     )
-    g = nx.DiGraph()
-    g.add_nodes_from(variables)
-    g.add_edges_from(true_edges)
-    queries = []
-    for a, b in combinations(variables, 2):
-        rest = [v for v in variables if v not in (a, b)]
-        for size in range(len(rest) + 1):
-            for z in combinations(rest, size):
-                queries.append((a, b, frozenset(z)))
-    facts = frozenset(
-        (a, b, z) for a, b, z in queries if nx.is_d_separator(g, {a}, {b}, set(z))
-    )
-    members = _propositional_dag_classes(variables)[facts]
+    members = _propositional_dag_classes(variables)[_dsep_facts(variables, true_edges)]
     directed = set()
     undirected = set()
     for a, b in true_edges:
@@ -369,6 +369,6 @@ def propositional_pattern(learned: LearnedPattern) -> dict:
     )
     undirected = frozenset(
         frozenset((pair.cause.attribute, pair.effect.attribute))
-        for pair, _rev in learned.undirected
+        for pair in learned.undirected
     )
     return {"directed": directed, "undirected": undirected}

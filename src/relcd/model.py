@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import Infeasible
@@ -97,21 +96,12 @@ class RelationalModel:
         object.__setattr__(self, "dependencies", deps)
         for dep in deps:
             validate_dependency(dep, self.schema)
-        if not is_acyclic(self):
-            raise ValueError("model has a cyclic class dependency graph")
-
-
-def class_dependency_graph(model: RelationalModel) -> nx.DiGraph:
-    """Directed graph over attribute classes induced by the dependencies."""
-    g = nx.DiGraph()
-    g.add_nodes_from(model.schema.attribute_classes())
-    for dep in model.dependencies:
-        g.add_edge(dep.cause.attribute_class, dep.effect.attribute_class)
-    return g
-
-
-def is_acyclic(model: RelationalModel) -> bool:
-    return nx.is_directed_acyclic_graph(class_dependency_graph(model))
+        edges: dict[AttributeClass, set[AttributeClass]] = {}
+        for dep in deps:
+            cause, effect = dep.cause.attribute_class, dep.effect.attribute_class
+            if _closes_cycle(edges, cause, effect):
+                raise ValueError("model has a cyclic class dependency graph")
+            edges.setdefault(cause, set()).add(effect)
 
 
 def potential_dependencies(

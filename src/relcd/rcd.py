@@ -53,10 +53,15 @@ class LearnConfig:
 class LearnedPattern:
     schema: Schema
     directed: tuple[RelationalDependency, ...]
-    undirected: tuple[tuple[RelationalDependency, RelationalDependency], ...]
+    undirected: tuple[RelationalDependency, ...]  # canonical pairs
     stats: Counter  # CI tests per label
     attribution: dict[RelationalDependency, str]
     conflicts: tuple[str, ...]
+
+    def __post_init__(self):
+        # callers may pass any iterables; both are stored as tuples sorted by text
+        for name in ("directed", "undirected"):
+            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=str)))
 
     @property
     def rule_counts(self) -> dict[str, int]:
@@ -66,9 +71,8 @@ class LearnedPattern:
 
     def pairs(self) -> frozenset[RelationalDependency]:
         """Canonical pair representatives of every learned dependency."""
-        return frozenset(
-            [canonical_pair(d) for d in self.directed]
-            + [pair[0] for pair in self.undirected]
+        return frozenset(self.undirected).union(
+            canonical_pair(d) for d in self.directed
         )
 
 
@@ -343,18 +347,11 @@ def rcd_learn(schema: Schema, ci_backend, config: LearnConfig) -> LearnedPattern
         collider_detection(agg_set, sepsets, ci_backend, config, **args)
         bivariate_orientation(agg_set, sepsets, ci_backend, config, **args)
         meek_rules(agg_set)
-    directed = []
-    undirected = []
-    for pair in sorted(agg_set.registry, key=str):
-        oriented = agg_set.registry[pair]
-        if oriented is None:
-            undirected.append((pair, reverse_dependency(pair)))
-        else:
-            directed.append(oriented)
+    registry = agg_set.registry
     return LearnedPattern(
         schema=schema,
-        directed=tuple(sorted(directed, key=str)),
-        undirected=tuple(sorted(undirected, key=lambda p: str(p[0]))),
+        directed=[d for d in registry.values() if d is not None],
+        undirected=[pair for pair, d in registry.items() if d is None],
         stats=stats,
         attribution=dict(agg_set.attribution),
         conflicts=tuple(agg_set.conflicts),
@@ -419,11 +416,11 @@ def majority_vote(
                     votes.items(), key=lambda kv: (-kv[1], kv[0])
                 )[0][0]
         else:
-            undirected.append((pair, rev))
+            undirected.append(pair)
     return LearnedPattern(
         schema=schema,
-        directed=tuple(sorted(directed, key=str)),
-        undirected=tuple(sorted(undirected, key=lambda p: str(p[0]))),
+        directed=directed,
+        undirected=undirected,
         stats=stats,
         attribution=attribution,
         conflicts=tuple(conflicts),
@@ -441,7 +438,7 @@ def pattern_to_dict(pattern: LearnedPattern) -> dict:
                 "rule": pattern.attribution.get(pair, ""),
             }
         )
-    for pair, _rev in pattern.undirected:
+    for pair in pattern.undirected:
         deps.append({"dependency": str(pair), "status": "undirected", "rule": ""})
     deps.sort(key=lambda d: d["dependency"])
     return {

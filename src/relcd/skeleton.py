@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
 from .errors import Infeasible
-from .model import RelationalModel, class_dependency_graph
+from .model import RelationalModel
 from .paths import RelationalPath
 from .schema import AttributeClass, Cardinality, Schema
 
@@ -289,7 +289,9 @@ class GroundGraph:
                 out.update((parent, child) for parent in group)
         return sorted(out)
 
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self):
+        import networkx as nx
+
         g = getattr(self, "_nx_cache", None)
         if g is None:
             g = nx.DiGraph()
@@ -299,6 +301,8 @@ class GroundGraph:
         return g
 
     def is_acyclic(self) -> bool:
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.to_networkx())
 
 
@@ -337,11 +341,11 @@ def sample_data(
 
     Each dependency draws one signed coefficient; a node's value sums, over
     its dependency groups, coefficient times the group's parent average,
-    plus Gaussian noise. Every ground edge instantiates an edge of the
-    model's acyclic class dependency graph, so visiting attribute classes
-    in its topological order computes every parent before its children.
-    Values are deterministic for a given seed and do not depend on
-    topological tie-breaking.
+    plus Gaussian noise. Every ground edge instantiates a dependency of the
+    model, so visiting attribute classes by the length of their longest
+    chain of causes computes every parent before its children. Values are
+    deterministic for a given seed and do not depend on the visiting order
+    within a rank.
     """
     rng = np.random.default_rng(seed)
     lo, hi = coeff_range
@@ -351,11 +355,19 @@ def sample_data(
     }
     ordered = sorted(gg.nodes)
     noise = dict(zip(ordered, rng.normal(0.0, noise_sd, size=len(ordered))))
-    graph = class_dependency_graph(gg.model)
-    rank = {c: i for i, c in enumerate(nx.lexicographical_topological_sort(graph))}
+    # longest chain of causes above each attribute class: in an acyclic
+    # model no chain has more links than there are dependencies
+    deps = gg.model.dependencies
+    rank: dict[AttributeClass, int] = {}
+    for _ in deps:
+        for dep in deps:
+            cause, effect = dep.cause.attribute_class, dep.effect.attribute_class
+            rank[effect] = max(rank.get(effect, 0), rank.get(cause, 0) + 1)
     values: dict[Node, float] = {}
     # a stable sort keeps each attribute class's nodes in sorted order
-    for node in sorted(ordered, key=lambda n: rank[AttributeClass(n[0], n[2])]):
+    for node in sorted(
+        ordered, key=lambda n: rank.get(AttributeClass(n[0], n[2]), 0)
+    ):
         total = noise[node]
         for dep, group in gg.parents.get(node, {}).items():
             total += coeffs[dep] * float(np.mean([values[p] for p in group]))
@@ -365,6 +377,8 @@ def sample_data(
 
 def dsep_ground(gg: GroundGraph, x: set[Node], y: set[Node], z: set[Node]) -> bool:
     """Standard d-separation on the instantiated graph (verification oracle)."""
+    import networkx as nx
+
     if (x & y) or (x & z) or (y & z):
         raise ValueError("query sets must be disjoint")
     return nx.is_d_separator(gg.to_networkx(), x, y, z)
@@ -431,35 +445,44 @@ def load_skeleton(schema: Schema, manifest_path: str | Path) -> Skeleton:
                 raise ValueError(f"{path}: first column must be 'id'")
             item = schema.item_classes[cls]
             if schema.is_entity(cls):
-                value_cols = header[1:]
-                rows = [(row[0], (), row[1:]) for row in reader]
+                width = 1  # id
             else:
+                width = 3  # id and the two participant ids
                 want = [f"{item.participants[0]}_id", f"{item.participants[1]}_id"]
                 if header[1:3] != want:
                     raise ValueError(
                         f"{path}: expected participant columns {want}, got {header[1:3]}"
                     )
-                value_cols = header[3:]
-                rows = [(row[0], tuple(row[1:3]), row[3:]) for row in reader]
+            value_cols = header[width:]
             known = set(schema.attributes_of(cls))
             for col in value_cols:
                 if col not in known:
                     raise ValueError(f"{path}: unknown column {col!r}")
-            ids = []
-            link_rows = []
-            for inst, refs, vals in rows:
-                ids.append(inst)
-                if refs:
-                    link_rows.append((inst, refs[0], refs[1]))
-                for col, raw in zip(value_cols, vals):
+            keys = []  # (id,) per entity, (id, participant ids) per link
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}, row {reader.line_num}: {len(row)} fields, "
+                        f"the header has {len(header)}"
+                    )
+                inst = row[0]
+                keys.append(tuple(row[:width]))
+                for col, raw in zip(value_cols, row[width:]):
                     try:
-                        values[(cls, inst, col)] = float(raw)
+                        value = float(raw)
                     except ValueError as exc:
                         raise ValueError(
-                            f"{path}: non-numeric value {raw!r} for {col!r}"
+                            f"{path}, row {reader.line_num}: non-numeric value "
+                            f"{raw!r} for {col!r}"
                         ) from exc
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}, row {reader.line_num}: non-finite value "
+                            f"{raw!r} for {col!r}"
+                        )
+                    values[(cls, inst, col)] = value
             if schema.is_entity(cls):
-                instances[cls] = tuple(ids)
+                instances[cls] = tuple(key[0] for key in keys)
             else:
-                links[cls] = tuple(link_rows)
+                links[cls] = tuple(keys)
     return Skeleton(schema, instances, links, values)

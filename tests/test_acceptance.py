@@ -12,8 +12,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from relcd.agg import build_all, orient, oriented_aggset, unshielded_triples
-from relcd.ci import OracleCI, RegressionCI
+from relcd.agg import build_all, orient, unshielded_triples
+from relcd.ci import OracleCI, RegressionCI, oriented_agg
 from relcd.cli import main as cli_main
 from relcd.errors import Infeasible
 from relcd.harness import (
@@ -56,9 +56,8 @@ def report(number, ok, detail):
 
 def test_criterion_1_movie_worked_example(movie_truth):
     started = time.perf_counter()
-    agg_set = oriented_aggset(movie_truth, 4)
-    actor = agg_set.aggs["ACTOR"]
-    movie = agg_set.aggs["MOVIE"]
+    actor = oriented_agg(movie_truth, "ACTOR", 4)
+    movie = oriented_agg(movie_truth, "MOVIE", 4)
     actor_nodes = {str(v) for v in actor.nodes}
     movie_nodes = {str(v) for v in movie.nodes}
     actor_edges = {(str(a), str(b)) for a, b, d in actor.edges() if d}
@@ -254,7 +253,7 @@ def test_criterion_6_relational_maximality():
             if _collider_fingerprint(pairs, schema, 8, directions) == target:
                 for pair, d in directions.items():
                     admissible[pair].add(d)
-        for pair, rev in learned.undirected:
+        for pair in learned.undirected:
             undirected_checked += 1
             if len(admissible[pair]) != 2:
                 violations.append(f"{pair} admits only {admissible[pair]}")

@@ -9,9 +9,9 @@ from relcd.agg import (
     build_all,
     d_separated,
     orient,
-    oriented_aggset,
     unshielded_triples,
 )
+from relcd.ci import oriented_agg
 from relcd.errors import Infeasible
 from relcd.model import (
     canonical_pair,
@@ -32,7 +32,7 @@ def edge_strings(agg):
 
 
 def test_actor_perspective_matches_reference(movie_truth):
-    agg = oriented_aggset(movie_truth, 4).aggs["ACTOR"]
+    agg = oriented_agg(movie_truth, "ACTOR", 4)
     assert node_strings(agg) == [
         "[ACTOR, STARS-IN, MOVIE, STARS-IN, ACTOR].Popularity",
         "[ACTOR, STARS-IN, MOVIE].Success",
@@ -45,7 +45,7 @@ def test_actor_perspective_matches_reference(movie_truth):
 
 
 def test_movie_perspective_matches_reference(movie_truth):
-    agg = oriented_aggset(movie_truth, 4).aggs["MOVIE"]
+    agg = oriented_agg(movie_truth, "MOVIE", 4)
     assert node_strings(agg) == [
         "[MOVIE, STARS-IN, ACTOR, STARS-IN, MOVIE].Success",
         "[MOVIE, STARS-IN, ACTOR].Popularity",
@@ -139,7 +139,7 @@ def test_unshielded_triples_chain():
 
 
 def test_d_separated_movie_collider(movie_truth):
-    agg = oriented_aggset(movie_truth, 8).aggs["ACTOR"]
+    agg = oriented_agg(movie_truth, "ACTOR", 8)
     pop = {var(["ACTOR"], "Popularity")}
     costar_pop = {
         var(["ACTOR", "STARS-IN", "MOVIE", "STARS-IN", "ACTOR"], "Popularity")
@@ -150,7 +150,7 @@ def test_d_separated_movie_collider(movie_truth):
 
 
 def test_d_separated_movie_common_cause(movie_truth):
-    agg = oriented_aggset(movie_truth, 8).aggs["MOVIE"]
+    agg = oriented_agg(movie_truth, "MOVIE", 8)
     success = {var(["MOVIE"], "Success")}
     other_success = {
         var(["MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE"], "Success")
@@ -169,7 +169,7 @@ def test_d_separated_requires_direction(movie_truth):
 
 
 def test_d_separated_rejects_overlap_and_unknown(movie_truth):
-    agg = oriented_aggset(movie_truth, 4).aggs["ACTOR"]
+    agg = oriented_agg(movie_truth, "ACTOR", 4)
     pop = {var(["ACTOR"], "Popularity")}
     with pytest.raises(ValueError):
         d_separated(agg, pop, pop, set())
@@ -186,10 +186,9 @@ def test_d_separation_agrees_with_networkx(seed):
         model = random_model(schema, 4, seed=seed, restarts=20)
     except Infeasible:
         return
-    agg_set = oriented_aggset(model, 6)
     rng_nodes = []
-    for perspective in agg_set.perspectives():
-        agg = agg_set.aggs[perspective]
+    for perspective in sorted(schema.item_classes):
+        agg = oriented_agg(model, perspective, 6)
         if agg.edge_pairs:
             rng_nodes = sorted(agg.nodes, key=str)
             break
@@ -218,6 +217,28 @@ def test_d_separation_agrees_with_networkx(seed):
             mine = d_separated(agg, xs, ys, zset)
             theirs = nx.is_d_separator(g, xs, ys, zset)
             assert mine == theirs
+
+
+@given(
+    seed=st.integers(0, 1500), num_entities=st.integers(1, 3), hops=st.integers(2, 6)
+)
+@settings(max_examples=25, deadline=None)
+def test_oriented_agg_equals_build_all_then_orient(seed, num_entities, hops):
+    schema = random_schema(seed, num_entities)
+    try:
+        model = random_model(schema, 1 + seed % 5, seed=seed, restarts=20)
+    except Infeasible:
+        return
+    agg_set = build_all(model.dependencies, schema, hops)
+    for d in model.dependencies:
+        assert orient(agg_set, d)
+    for perspective in agg_set.perspectives():
+        mine = oriented_agg(model, perspective, hops)
+        theirs = agg_set.aggs[perspective]
+        assert mine.nodes == theirs.nodes
+        assert mine.edge_pairs == theirs.edge_pairs
+        assert mine.edges() == theirs.edges()
+        assert mine.is_fully_directed()
 
 
 @given(seed=st.integers(0, 1500))

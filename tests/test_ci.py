@@ -21,11 +21,7 @@ from relcd.ci import (
     find_sepset,
 )
 from relcd.errors import Infeasible
-from relcd.model import (
-    RelationalVariable,
-    class_dependency_graph,
-    random_model,
-)
+from relcd.model import RelationalVariable, random_model
 from relcd.paths import enumerate_paths
 from relcd.schema import AttributeClass, random_schema, schema_to_json
 from relcd.skeleton import (
@@ -118,7 +114,11 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
     except Infeasible:
         return
     backend = OracleCI(model, hops=8)
-    g = class_dependency_graph(model)
+    g = nx.DiGraph()
+    g.add_nodes_from(schema.attribute_classes())
+    g.add_edges_from(
+        (d.cause.attribute_class, d.effect.attribute_class) for d in model.dependencies
+    )
     entity = schema.entities[0].name
     a, b = attrs[0], attrs[1]
     others = frozenset(var([entity], c) for c in attrs[2:3])
@@ -223,6 +223,36 @@ def test_regression_requires_values(movie_schema):
     skel = random_skeleton(movie_schema, {"ACTOR": 10, "MOVIE": 10}, 2.0, seed=0)
     with pytest.raises(ValueError, match="values"):
         RegressionCI(skel)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"alpha": 0.0},
+        {"alpha": 1.0},
+        {"alpha": 1.5},
+        {"alpha": float("nan")},
+        {"effect_threshold": -1.0},
+        {"effect_threshold": float("nan")},
+    ],
+    ids=["alpha0", "alpha1", "alpha1.5", "alpha-nan", "effect-neg", "effect-nan"],
+)
+def test_regression_rejects_bad_parameters(movie_data, kwargs):
+    with pytest.raises(ValueError, match="alpha|effect_threshold"):
+        RegressionCI(movie_data, **kwargs)
+
+
+def test_regression_accepts_zero_effect_threshold(movie_data):
+    assert RegressionCI(movie_data, effect_threshold=0.0).effect_threshold == 0.0
+
+
+def test_regression_requires_every_value(movie_data):
+    node = ("ACTOR", movie_data.instances["ACTOR"][0], "Popularity")
+    partial = movie_data.with_values(
+        {k: v for k, v in movie_data.values.items() if k != node}
+    )
+    with pytest.raises(ValueError, match="no value for"):
+        RegressionCI(partial)
 
 
 def test_regression_invariant_to_rescaling(movie_data):

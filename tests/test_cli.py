@@ -1,11 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relcd
 from relcd.cli import main
 from relcd.model import model_from_json, model_to_json
 from relcd.schema import schema_from_json, schema_to_json
 from relcd.skeleton import load_skeleton
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python_env():
+    """The environment with this checkout's relcd first on the path."""
+    src = str(Path(relcd.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture()
@@ -245,3 +259,109 @@ def test_infeasible_model_exits_3(tmp_path):
         json.dumps({"entities": [{"name": "A", "attributes": ["X"]}]})
     )
     assert run(["gen", "model", "--schema", schema, "--deps", 5]) == 3
+
+
+@pytest.fixture()
+def seed7_files(tmp_path):
+    """A 2-entity schema, a model and a valued 20 + 20 skeleton, all seed 7."""
+    schema_path = tmp_path / "schema.json"
+    model_path = tmp_path / "model.json"
+    skel_dir = tmp_path / "skel"
+    assert run(["gen", "schema", "--entities", 2, "--seed", 7, "-o", schema_path]) == 0
+    gen_model = ["gen", "model", "--schema", schema_path, "--deps", 3, "--seed", 7]
+    assert run(gen_model + ["-o", model_path]) == 0
+    gen_skeleton = [
+        "gen", "skeleton", "--schema", schema_path, "--sizes", "E1=20,E2=20",
+        "--model", model_path, "--seed", 7, "-o", skel_dir,
+    ]
+    assert run(gen_skeleton) == 0
+    return schema_path, skel_dir
+
+
+def _learn_data(schema_path, skel_dir, *extra):
+    argv = ["learn", "--schema", schema_path, "--data", skel_dir / "manifest.json"]
+    return run(argv + list(extra))
+
+
+def _edit_line(path, number, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[number] = edit(lines[number])
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    ("fname", "edit"),
+    [
+        ("e1.csv", lambda line: ",".join(line.split(",")[:2]) + "\n"),
+        ("e2.csv", lambda line: "\n" + line),
+        ("r1.csv", lambda line: ",".join(line.split(",")[:2]) + "\n"),
+        ("e1.csv", lambda line: line.split(",")[0] + ",nan," + line.split(",", 2)[2]),
+        ("e2.csv", lambda line: line.split(",")[0] + ",-inf\n"),
+    ],
+    ids=["short-entity-row", "blank-line", "two-field-link-row", "nan", "inf"],
+)
+def test_learn_rejects_malformed_skeleton_rows(seed7_files, capsys, fname, edit):
+    schema_path, skel_dir = seed7_files
+    _edit_line(skel_dir / fname, 2, edit)
+    assert _learn_data(schema_path, skel_dir) == 2
+    err = capsys.readouterr().err
+    assert fname in err and "row 3" in err
+
+
+def test_learn_rejects_link_file_without_values(seed7_files, capsys):
+    schema_path, skel_dir = seed7_files
+    links = skel_dir / "r1.csv"
+    rows = links.read_text().splitlines()
+    links.write_text("".join(",".join(row.split(",")[:3]) + "\n" for row in rows))
+    assert _learn_data(schema_path, skel_dir) == 2
+    assert "no value for ('R1', 'r10', 'X5')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--alpha", 1.5],
+        ["--alpha", 0],
+        ["--alpha", 1],
+        ["--effect-threshold", -1],
+    ],
+    ids=["alpha-1.5", "alpha-0", "alpha-1", "effect-threshold--1"],
+)
+def test_learn_rejects_bad_regression_parameters(seed7_files, extra):
+    assert _learn_data(*seed7_files, *extra) == 2
+
+
+@pytest.mark.parametrize("command", ["bench", "profile"])
+@pytest.mark.parametrize(
+    "extra",
+    [["--trials", 0], ["--trials", -3], ["--workers", 0], ["--workers", -4]],
+    ids=["trials0", "trials-3", "workers0", "workers-4"],
+)
+def test_grid_rejects_counts_below_one(tmp_path, command, extra):
+    out = tmp_path / "grid.csv"
+    argv = [command, "--entities", "2", "--deps", "1", "--trials", 1, *extra]
+    if command == "profile":
+        argv += ["--mode", "rbo_first"]
+    assert run(argv + ["-o", out]) == 2
+    assert not out.exists()
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, relcd, relcd.cli; sys.exit('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=_python_env())
+    assert done.returncode == 0
+
+
+def test_movie_demo_script():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "movie_demo.py")],
+        env=_python_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    learned = "['[MOVIE, STARS-IN, ACTOR].Popularity -> [MOVIE].Success']"
+    assert done.stdout.splitlines()[-2:] == [
+        f"oracle learn: {learned}",
+        f"data learn (100-run vote): {learned}",
+    ]

@@ -1,13 +1,12 @@
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcd.errors import Infeasible
 from relcd.model import (
     RelationalModel,
     canonical_pair,
-    class_dependency_graph,
-    is_acyclic,
     is_canonical,
     model_from_json,
     model_to_json,
@@ -17,7 +16,7 @@ from relcd.model import (
     random_model,
     reverse_dependency,
 )
-from relcd.schema import AttributeClass, random_schema
+from relcd.schema import random_schema
 from tests.conftest import dep, single_entity_schema, var
 
 
@@ -87,13 +86,13 @@ def test_single_entity_potentials_are_propositional(seed):
         assert len(d.cause.path.items) == 1
 
 
-def test_class_dependency_graph_movie(movie_truth):
-    g = class_dependency_graph(movie_truth)
-    assert is_acyclic(movie_truth)
-    assert list(g.edges()) == [
-        (AttributeClass("ACTOR", "Popularity"), AttributeClass("MOVIE", "Success"))
-    ]
-    assert AttributeClass("ACTOR", "Popularity") in g.nodes()
+def _class_graph_is_dag(deps):
+    """Reference: networkx's verdict on the attribute-class graph."""
+    g = nx.DiGraph()
+    g.add_edges_from(
+        (d.cause.attribute_class, d.effect.attribute_class) for d in deps
+    )
+    return nx.is_directed_acyclic_graph(g)
 
 
 def test_cyclic_model_rejected():
@@ -105,7 +104,41 @@ def test_cyclic_model_rejected():
 
 
 def test_empty_model_acyclic(movie_schema):
-    assert is_acyclic(RelationalModel(movie_schema, ()))
+    assert RelationalModel(movie_schema, ()).dependencies == ()
+
+
+# five attributes; a propositional edge set orients some of their pairs,
+# so its cycles, if any, have length 3 or more
+_PAIRS = [(a, b) for a in "ABCDE" for b in "ABCDE" if a < b]
+
+
+@given(
+    orientation=st.dictionaries(st.sampled_from(_PAIRS), st.booleans(), min_size=3),
+    seed=st.integers(0, 500),
+    picks=st.lists(st.integers(0, 10**6), max_size=6),
+)
+@example(  # a 4-cycle A -> B -> C -> D -> A
+    orientation={("A", "B"): True, ("B", "C"): True, ("C", "D"): True, ("A", "D"): False},
+    seed=0,
+    picks=[],
+)
+@settings(max_examples=150, deadline=None)
+def test_model_rejects_exactly_cyclic_class_graphs(orientation, seed, picks):
+    """Propositional edge sets, then relational ones from a random schema."""
+    edges = [(a, b) if forward else (b, a) for (a, b), forward in orientation.items()]
+    schema = single_entity_schema(*"ABCDE")
+    cases = [(schema, [dep(["E1"], a, "E1", b) for a, b in edges])]
+    schema = random_schema(seed, 2 + seed % 2)
+    pool = potential_dependencies(schema, 2)
+    if pool:
+        cases.append((schema, [pool[i % len(pool)] for i in picks]))
+    for schema, deps in cases:
+        if _class_graph_is_dag(deps):
+            model = RelationalModel(schema, tuple(deps))
+            assert set(model.dependencies) == set(deps)
+        else:
+            with pytest.raises(ValueError, match="cyclic"):
+                RelationalModel(schema, tuple(deps))
 
 
 def test_model_rejects_unknown_attribute(movie_schema):
@@ -160,7 +193,7 @@ def test_random_model_invariants(seed, k, deps):
     except Infeasible:
         return
     assert len(model.dependencies) == deps
-    assert is_acyclic(model)
+    assert _class_graph_is_dag(model.dependencies)
     parents = {}
     for d in model.dependencies:
         ac = d.effect.attribute_class

@@ -9,14 +9,13 @@ edge carries the unordered dependency pair that produced it, and a registry
 shared by the whole set maps each pair to its current orientation.
 Orienting a pair therefore directs every supporting edge everywhere at once.
 
-Once every pair is oriented, ``DirectedSnapshot`` lists a graph's parents
-and children by id and answers d-separation; the oracle backend and
-``d_separated`` both query it.
+Once every pair is oriented, ``DirectedSnapshot`` holds a graph's parents
+and children as id bitmasks and answers d-separation by Bayes-ball over
+frontier masks; the oracle backend and ``d_separated`` both query it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .model import (
@@ -26,8 +25,7 @@ from .model import (
     validate_dependency,
     variable_key,
 )
-from .paths import extend as extend_path
-from .paths import enumerate_paths
+from .paths import compositions, enumerate_paths
 from .schema import Schema
 
 Registry = dict  # canonical pair -> oriented RelationalDependency | None
@@ -72,7 +70,8 @@ class Agg:
             oriented = self.registry[pair]
             if oriented is None:
                 continue
-            if self.nodes[i].attribute_class == oriented.cause.attribute_class:
+            node, cause = self.nodes[i], oriented.cause
+            if node.attribute == cause.attribute and node.path.last == cause.path.last:
                 return (i, j)
             return (j, i)
         return None
@@ -125,7 +124,8 @@ def build_agg(
     Nodes are the attribute-bearing relational variables within the hop
     bound. For a dependency with effect class C, every node whose path ends
     at C gains an edge from each composition of its path with the cause
-    path that stays within the bound.
+    path that stays within the bound (``paths.extend``), found by looking
+    each candidate up among the nodes: they hold every valid path in bound.
     """
     deps = sorted(set(dependencies), key=str)
     if registry is None:
@@ -148,20 +148,20 @@ def build_agg(
         )
     )
     index = {v: i for i, v in enumerate(nodes)}
+    by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
     supports: dict[tuple[int, int], set[RelationalDependency]] = {}
     adjacency: list[set[int]] = [set() for _ in nodes]
     for dep in deps:
         effect_cls = dep.effect.path.last
         pair = canonical_pair(dep)
         for q in by_last.get(effect_cls, ()):
-            v = index[RelationalVariable(q, dep.effect.attribute)]
-            for source_path in extend_path(
-                q, dep.cause.path, schema, node_hops + 1
-            ):
-                u = index[RelationalVariable(source_path, dep.cause.attribute)]
-                supports.setdefault((min(u, v), max(u, v)), set()).add(pair)
-                adjacency[u].add(v)
-                adjacency[v].add(u)
+            v = by_key[(q.items, dep.effect.attribute)]
+            for items in compositions(q.items, dep.cause.path.items):
+                u = by_key.get((items, dep.cause.attribute))
+                if u is not None:
+                    supports.setdefault((min(u, v), max(u, v)), set()).add(pair)
+                    adjacency[u].add(v)
+                    adjacency[v].add(u)
     return Agg(
         perspective=perspective,
         nodes=nodes,
@@ -241,67 +241,56 @@ def unshielded_triples(agg: Agg):
 
 
 class DirectedSnapshot:
-    """Parents/children, by node id, of one fully directed lifted graph.
+    """Parents and children, as id bitmasks, of one fully directed graph.
 
-    The only d-separation kernel: ``d_separated`` walks active trails
-    between two node ids by ball passing. ``index`` is the graph's own.
+    The only d-separation kernel. Bit j of ``parents[i]`` (an ``int``) is
+    set when j -> i, and of ``children[i]`` when i -> j. ``index`` is the
+    graph's own.
     """
 
     def __init__(self, agg):
         self.index = agg.index
         n = len(agg.nodes)
-        parents: list[list[int]] = [[] for _ in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
+        parents, children = [0] * n, [0] * n
         for i, j in agg.edge_pairs:
             src, dst = agg.edge_direction(i, j)
-            children[src].append(dst)
-            parents[dst].append(src)
-        self.parents = parents
-        self.children = children
+            children[src] |= 1 << dst
+            parents[dst] |= 1 << src
+        self.parents, self.children = parents, children
 
     def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
-        """Whether no active trail joins node x to node y given nodes z."""
+        """Whether no active trail joins node x to node y given nodes z.
+
+        Bayes-ball (Shachter 1998), one frontier level at a time: ``up``
+        holds nodes the ball reached from a child, ``down`` nodes it
+        reached from a parent. A node outside Z passes the ball on to its
+        children, and to its parents when it came from a child; a node in
+        Z sends a ball from a parent back up to its parents. That bounce
+        opens every collider with a descendant in Z, so anc(Z) is never
+        built.
+        """
         parents, children = self.parents, self.children
-        n = len(parents)
-        anc = bytearray(n)
-        stack = list(z)
-        while stack:
-            node = stack.pop()
-            if not anc[node]:
-                anc[node] = 1
-                stack.extend(parents[node])
-        in_z = bytearray(n)
+        in_z = 0
         for i in z:
-            in_z[i] = 1
-        seen_up = bytearray(n)
-        seen_down = bytearray(n)
-        queue = deque(((x, 1),))
-        while queue:
-            node, up = queue.popleft()
-            if up:
-                if seen_up[node]:
-                    continue
-                seen_up[node] = 1
-            else:
-                if seen_down[node]:
-                    continue
-                seen_down[node] = 1
-            blocked = in_z[node]
-            if not blocked and node == y:
+            in_z |= 1 << i
+        free, target = ~in_z, 1 << y
+        up, down = 1 << x, 0
+        seen_up = seen_down = 0
+        while up or down:
+            seen_up |= up
+            seen_down |= down
+            lift, drop = (up & free) | (down & in_z), (up | down) & free
+            up = down = 0
+            while lift:
+                up |= parents[(lift & -lift).bit_length() - 1]
+                lift &= lift - 1
+            while drop:
+                down |= children[(drop & -drop).bit_length() - 1]
+                drop &= drop - 1
+            up &= ~seen_up
+            down &= ~seen_down
+            if (up | down) & target:
                 return False
-            if up:
-                if not blocked:
-                    for p in parents[node]:
-                        queue.append((p, 1))
-                    for c in children[node]:
-                        queue.append((c, 0))
-            else:
-                if not blocked:
-                    for c in children[node]:
-                        queue.append((c, 0))
-                if anc[node]:
-                    for p in parents[node]:
-                        queue.append((p, 1))
         return True
 
 

@@ -26,7 +26,7 @@ from .model import (
     canonical_pair,
     variable_key,
 )
-from .paths import RelationalPath
+from .paths import RelationalPath, is_valid
 from .skeleton import Skeleton, terminal_sets
 
 
@@ -43,7 +43,7 @@ class CIQuery:
         if self.x in self.cond or self.y in self.cond:
             raise ValueError("conditioning set must exclude the query variables")
         for v in (self.x, self.y, *self.cond):
-            if v.perspective != self.perspective:
+            if v.path.items[0] != self.perspective:
                 raise ValueError(
                     f"{v} is not a {self.perspective}-perspective variable"
                 )
@@ -102,20 +102,29 @@ class OracleCI:
     def independent(self, query: CIQuery) -> bool:
         self.calls += 1
         snap = self._snapshot(query.perspective)
+        index = snap.index
         try:
-            xi = snap.index[query.x]
-            yi = snap.index[query.y]
-            zi = frozenset(snap.index[c] for c in query.cond)
+            xi, yi = index[query.x], index[query.y]
+            zi = frozenset([index[c] for c in query.cond])
         except KeyError as exc:
-            raise ValueError(
-                f"variable outside oracle node set at {self.hops} hops: {exc}"
-            ) from exc
+            raise ValueError(self._unknown(exc.args[0])) from None
         key = (query.perspective, min(xi, yi), max(xi, yi), zi)
         verdict = self._memo.get(key)
         if verdict is None:
             verdict = snap.d_separated(xi, yi, zi)
             self._memo[key] = verdict
         return verdict
+
+    def _unknown(self, v: RelationalVariable) -> str:
+        schema = self.model.schema  # a schema fault first, then the hop bound
+        try:
+            if not is_valid(v.path, schema):
+                return f"{v}: path is not valid under the schema"
+        except ValueError as exc:  # an unknown item class
+            return f"{v}: {exc}"
+        if v.attribute not in schema.attributes_of(v.path.last):
+            return f"{v}: {v.path.last!r} has no attribute {v.attribute!r}"
+        return f"variable outside oracle node set at {self.hops} hops: {v}"
 
 
 class RegressionCI:

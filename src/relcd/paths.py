@@ -145,34 +145,34 @@ def enumerate_paths(
     )
 
 
+def compositions(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Pivot compositions of two item tuples, shortest first, not validated.
+
+    For every pivot m >= 1 where the last m items of ``a`` reversed equal
+    the first m items of ``b``, a candidate drops those m items from ``a``
+    and the first m - 1 items from ``b``. The pivots that match are
+    m = 1..r for some r, and each gives a candidate of another length.
+    """
+    run = 0
+    while run < min(len(a), len(b)) and a[-1 - run] == b[run]:
+        run += 1
+    return [a[: len(a) - m] + b[m - 1 :] for m in range(run, 0, -1)]
+
+
 def extend(
     p_orig: RelationalPath,
     p_ext: RelationalPath,
     schema: Schema,
     max_length: int,
 ) -> list[RelationalPath]:
-    """All valid compositions of two paths sharing a join class.
+    """The valid ``compositions`` of two paths of at most ``max_length`` items.
 
-    For every pivot m >= 1 where the last m items of ``p_orig`` reversed
-    equal the first m items of ``p_ext``, the candidate drops those m items
-    from ``p_orig`` and the first m - 1 items from ``p_ext``. Candidates
-    longer than ``max_length`` items or failing validity are discarded.
+    The paths must share a join class; results are sorted by length.
     """
     if p_orig.last != p_ext.perspective:
         raise ValueError(
             f"join point mismatch: {p_orig} does not end where {p_ext} starts"
         )
-    a, b = p_orig.items, p_ext.items
-    results: list[RelationalPath] = []
-    seen: set[tuple[str, ...]] = set()
-    for m in range(1, min(len(a), len(b)) + 1):
-        if tuple(reversed(a[len(a) - m :])) != b[:m]:
-            continue
-        candidate = a[: len(a) - m] + b[m - 1 :]
-        if len(candidate) > max_length or candidate in seen:
-            continue
-        seen.add(candidate)
-        cp = RelationalPath(candidate)
-        if is_valid(cp, schema):
-            results.append(cp)
-    return sorted(results, key=lambda p: (len(p.items), p.items))
+    candidates = compositions(p_orig.items, p_ext.items)
+    paths = [RelationalPath(c) for c in candidates if len(c) <= max_length]
+    return [p for p in paths if is_valid(p, schema)]

@@ -226,7 +226,8 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
         if rng is not None:
             rng.shuffle(triples)
         for x, y, z in triples:
-            if (agg.nodes[x].attribute_class == agg.nodes[z].attribute_class) != rbo:
+            a, b = agg.nodes[x], agg.nodes[z]
+            if (a.attribute == b.attribute and a.path.last == b.path.last) != rbo:
                 continue
             if not (
                 agg.edge_direction(x, y) is None or agg.edge_direction(z, y) is None

@@ -1,9 +1,12 @@
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd.agg import (
+    DirectedSnapshot,
     agg_to_dot,
     build_agg,
     build_all,
@@ -14,11 +17,14 @@ from relcd.agg import (
 from relcd.ci import oriented_agg
 from relcd.errors import Infeasible
 from relcd.model import (
+    RelationalVariable,
     canonical_pair,
+    potential_dependencies,
     random_model,
     reverse_dependency,
     variable_key,
 )
+from relcd.paths import enumerate_paths, extend
 from relcd.schema import random_schema
 from tests.conftest import dep, propositional_model, single_entity_schema, var
 
@@ -219,6 +225,53 @@ def test_d_separation_agrees_with_networkx(seed):
             assert mine == theirs
 
 
+def _check_every_small_query(agg):
+    # every disjoint (x, y, Z) with |Z| <= 2, both ways round, against networkx
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(agg.nodes)))
+    for a, b, directed in agg.edges():
+        assert directed
+        g.add_edge(agg.index[a], agg.index[b])
+    snap = DirectedSnapshot(agg)
+    ids = range(len(agg.nodes))
+    for x, y in itertools.combinations(ids, 2):
+        rest = [i for i in ids if i not in (x, y)]
+        for z in itertools.chain.from_iterable(
+            itertools.combinations(rest, size) for size in range(3)
+        ):
+            theirs = nx.is_d_separator(g, {x}, {y}, set(z))
+            assert snap.d_separated(x, y, frozenset(z)) == theirs, (x, y, z)
+            assert snap.d_separated(y, x, frozenset(z)) == theirs, (y, x, z)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_snapshot_answers_every_small_query_like_networkx(seed):
+    schema = random_schema(seed, 2)
+    model = random_model(schema, 4, seed=seed, restarts=20)
+    small = [oriented_agg(model, p, 3) for p in sorted(schema.item_classes)]
+    small = [agg for agg in small if len(agg.nodes) <= 11]
+    assert small
+    for agg in small:
+        _check_every_small_query(agg)
+
+
+def test_snapshot_opens_a_collider_through_a_descendant_of_z():
+    # a -> c <- b, c -> d: conditioning on d alone, a descendant of the
+    # collider c, connects a and b; so does c itself
+    schema = single_entity_schema("A", "B", "C", "D")
+    model = propositional_model(schema, [("A", "C"), ("B", "C"), ("C", "D")])
+    agg = oriented_agg(model, "E1", 0)
+    g = _check_every_small_query(agg)
+    a, b, c, d = (agg.index[var(["E1"], name)] for name in "ABCD")
+    assert sorted(g.edges) == sorted([(a, c), (b, c), (c, d)])
+    snap = DirectedSnapshot(agg)
+    assert snap.d_separated(a, b, frozenset())
+    assert not snap.d_separated(a, b, frozenset({d}))
+    assert not snap.d_separated(a, b, frozenset({c}))
+    assert snap.d_separated(a, d, frozenset({c}))
+
+
 @given(
     seed=st.integers(0, 1500), num_entities=st.integers(1, 3), hops=st.integers(2, 6)
 )
@@ -239,6 +292,34 @@ def test_oriented_agg_equals_build_all_then_orient(seed, num_entities, hops):
         assert mine.edge_pairs == theirs.edge_pairs
         assert mine.edges() == theirs.edges()
         assert mine.is_fully_directed()
+
+
+def _reference_edge_pairs(agg, dependencies, schema, hops):
+    # edges as build_agg documents them: paths.extend from every node path
+    supports = {}
+    for d in sorted(set(dependencies), key=str):
+        for q in enumerate_paths(schema, agg.perspective, hops):
+            if q.last != d.effect.path.last:
+                continue
+            v = agg.index[RelationalVariable(q, d.effect.attribute)]
+            for source in extend(q, d.cause.path, schema, hops + 1):
+                u = agg.index[RelationalVariable(source, d.cause.attribute)]
+                key = (min(u, v), max(u, v))
+                supports.setdefault(key, set()).add(canonical_pair(d))
+    return {k: tuple(sorted(p, key=str)) for k, p in supports.items()}
+
+
+@given(
+    seed=st.integers(0, 1500), num_entities=st.integers(1, 3), hops=st.integers(1, 5)
+)
+@settings(max_examples=25, deadline=None)
+def test_build_agg_edges_match_extend_reference(seed, num_entities, hops):
+    schema = random_schema(seed, num_entities)
+    deps = potential_dependencies(schema, min(hops, 3))
+    for perspective in sorted(schema.item_classes):
+        agg = build_agg(deps, schema, perspective, hops)
+        reference = _reference_edge_pairs(agg, deps, schema, hops)
+        assert list(agg.edge_pairs.items()) == list(reference.items())
 
 
 @given(seed=st.integers(0, 1500))

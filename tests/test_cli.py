@@ -167,6 +167,43 @@ def test_dsep_command(capsys, movie_files):
     assert capsys.readouterr().out.strip() == "dependent"
 
 
+@pytest.mark.parametrize(
+    "y,hops,message",
+    [
+        (
+            "[ACTOR, ACTS-IN].Popularity",
+            8,
+            "[ACTOR, ACTS-IN].Popularity: unknown item class 'ACTS-IN'",
+        ),
+        ("[ACTOR].Nope", 8, "[ACTOR].Nope: 'ACTOR' has no attribute 'Nope'"),
+        (
+            "[ACTOR, STARS-IN, ACTOR].Popularity",
+            8,
+            "[ACTOR, STARS-IN, ACTOR].Popularity: path is not valid under the schema",
+        ),
+        (
+            "[ACTOR, STARS-IN, MOVIE, STARS-IN, ACTOR].Popularity",
+            2,
+            "variable outside oracle node set at 2 hops: "
+            "[ACTOR, STARS-IN, MOVIE, STARS-IN, ACTOR].Popularity",
+        ),
+    ],
+    ids=["unknown-class", "unknown-attribute", "invalid-path", "beyond-hops"],
+)
+def test_dsep_names_why_a_variable_is_unknown(capsys, movie_files, y, hops, message):
+    _, model_path = movie_files
+    argv = [
+        "dsep",
+        "--model", model_path,
+        "--perspective", "ACTOR",
+        "--x", "[ACTOR].Popularity",
+        "--y", y,
+        "--hops", hops,
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_agg_export(tmp_path, movie_files):
     schema_path, model_path = movie_files
     out = tmp_path / "actor.dot"

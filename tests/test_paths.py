@@ -188,6 +188,40 @@ def test_extend_respects_max_length(movie_schema):
     assert got == [path("ACTOR")]
 
 
+def _alternating_sequences(schema, perspective, hops):
+    # every item sequence from the perspective that alternates entity and
+    # relationship classes, with at most ``hops`` hops, valid or not
+    entities = [e.name for e in schema.entities]
+    relationships = [r.name for r in schema.relationships]
+    frontier = [(perspective,)]
+    out = list(frontier)
+    for _ in range(hops):
+        frontier = [
+            items + (name,)
+            for items in frontier
+            for name in (relationships if schema.is_entity(items[-1]) else entities)
+        ]
+        out.extend(frontier)
+    return out
+
+
+@given(seed=st.integers(0, 5000), k=st.integers(1, 4), hops=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_enumerate_paths_is_every_valid_path(seed, k, hops):
+    # build_agg relies on this: a valid composition within the bound is
+    # always found among the enumerated paths
+    schema = random_schema(seed, k)
+    for perspective in sorted(schema.item_classes):
+        brute = {
+            RelationalPath(items)
+            for items in _alternating_sequences(schema, perspective, hops)
+            if is_valid(RelationalPath(items), schema)
+        }
+        got = enumerate_paths(schema, perspective, hops)
+        assert len(got) == len(set(got))
+        assert set(got) == brute
+
+
 @given(seed=st.integers(0, 5000), k=st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_extend_results_always_valid(seed, k):

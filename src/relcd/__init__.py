@@ -11,7 +11,6 @@ from .agg import (
     unshielded_triples,
 )
 from .ci import (
-    CIQuery,
     OracleCI,
     RegressionCI,
     SepsetStore,

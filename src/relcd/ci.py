@@ -1,19 +1,22 @@
 """Conditional-independence backends behind one query interface.
 
-Two interchangeable backends answer queries between relational variables of
-a shared perspective: an exact graphical oracle over the fully directed
-lifted graphs of a known model (``oriented_agg``), and a regression test on
-skeleton data that averages each variable over its terminal sets, taken one
-relational path at a time from ``skeleton.terminal_sets``. A separating-set
-search sits on top; it counts its tests per label in a
-``collections.Counter``.
+Every backend answers ``independent(x, y, cond=frozenset())``: are the
+relational variables x and y independent given the set ``cond``? The
+query's perspective is ``x.perspective``. A backend checks the query
+(``check_query``) when it computes a verdict, so a memoized verdict is not
+checked again.
+
+The exact oracle answers over the fully directed lifted graphs of a known
+model (``oriented_agg``); the regression test averages each variable over
+its terminal sets in skeleton data, one relational path at a time
+(``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
+of both learner phases; it counts its tests per label in a ``Counter``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -30,23 +33,20 @@ from .paths import RelationalPath, is_valid
 from .skeleton import Skeleton, terminal_sets
 
 
-@dataclass(frozen=True)
-class CIQuery:
-    perspective: str
-    x: RelationalVariable
-    y: RelationalVariable
-    cond: frozenset[RelationalVariable] = frozenset()
-
-    def __post_init__(self):
-        if self.x == self.y:
-            raise ValueError("query variables must differ")
-        if self.x in self.cond or self.y in self.cond:
-            raise ValueError("conditioning set must exclude the query variables")
-        for v in (self.x, self.y, *self.cond):
-            if v.path.items[0] != self.perspective:
-                raise ValueError(
-                    f"{v} is not a {self.perspective}-perspective variable"
-                )
+def check_query(
+    perspective: str,
+    x: RelationalVariable,
+    y: RelationalVariable,
+    cond: frozenset[RelationalVariable] = frozenset(),
+) -> None:
+    """Raise ``ValueError`` unless (x, y | cond) is a query of one perspective."""
+    if x == y:
+        raise ValueError("query variables must differ")
+    if x in cond or y in cond:
+        raise ValueError("conditioning set must exclude the query variables")
+    for v in (x, y, *cond):
+        if v.path.items[0] != perspective:
+            raise ValueError(f"{v} is not a {perspective}-perspective variable")
 
 
 class SepsetStore:
@@ -86,9 +86,10 @@ class OracleCI:
     """
 
     def __init__(self, model: RelationalModel, hops: int = 8):
+        if hops < 0:
+            raise ValueError("hops must be >= 0")
         self.model = model
         self.hops = hops
-        self.calls = 0
         self._snapshots: dict[str, DirectedSnapshot] = {}
         self._memo: dict[tuple, bool] = {}
 
@@ -99,20 +100,26 @@ class OracleCI:
             self._snapshots[perspective] = snap
         return snap
 
-    def independent(self, query: CIQuery) -> bool:
-        self.calls += 1
-        snap = self._snapshot(query.perspective)
+    def independent(
+        self,
+        x: RelationalVariable,
+        y: RelationalVariable,
+        cond: frozenset[RelationalVariable] = frozenset(),
+    ) -> bool:
+        perspective = x.perspective
+        snap = self._snapshot(perspective)
         index = snap.index
         try:
-            xi, yi = index[query.x], index[query.y]
-            zi = frozenset([index[c] for c in query.cond])
+            xi, yi = index[x], index[y]
+            zi = frozenset([index[c] for c in cond])
         except KeyError as exc:
+            check_query(perspective, x, y, cond)
             raise ValueError(self._unknown(exc.args[0])) from None
-        key = (query.perspective, min(xi, yi), max(xi, yi), zi)
+        key = (perspective, min(xi, yi), max(xi, yi), zi)
         verdict = self._memo.get(key)
         if verdict is None:
-            verdict = snap.d_separated(xi, yi, zi)
-            self._memo[key] = verdict
+            check_query(perspective, x, y, cond)
+            verdict = self._memo[key] = snap.d_separated(xi, yi, zi)
         return verdict
 
     def _unknown(self, v: RelationalVariable) -> str:
@@ -158,7 +165,6 @@ class RegressionCI:
         self.skeleton = skeleton
         self.alpha = alpha
         self.effect_threshold = effect_threshold
-        self.calls = 0
         self.outcomes: Counter = Counter()
         self._columns: dict[RelationalVariable, tuple[np.ndarray, np.ndarray]] = {}
         self._reach: dict[RelationalPath, sparse.csr_array] = {}
@@ -201,21 +207,22 @@ class RegressionCI:
         self._columns[var] = (col, ok)
         return col, ok
 
-    def independent(self, query: CIQuery) -> bool:
-        self.calls += 1
-        key = (query.x, query.y, query.cond)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._test(query)
-        self._memo[key] = verdict
+    def independent(
+        self,
+        x: RelationalVariable,
+        y: RelationalVariable,
+        cond: frozenset[RelationalVariable] = frozenset(),
+    ) -> bool:
+        key = (x, y, cond)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            check_query(x.perspective, x, y, cond)
+            verdict = self._memo[key] = self._test(x, y, cond)
         return verdict
 
-    def _test(self, query: CIQuery) -> bool:
-        cond = sorted(query.cond, key=variable_key)
-        cols, masks = zip(
-            *(self._column(v) for v in (query.x, query.y, *cond))
-        )
+    def _test(self, x, y, cond) -> bool:
+        cond = sorted(cond, key=variable_key)
+        cols, masks = zip(*(self._column(v) for v in (x, y, *cond)))
         mask = np.logical_and.reduce(masks)
         n = int(mask.sum())
         if n < len(cond) + 3:
@@ -248,30 +255,32 @@ def find_sepset(
     x: RelationalVariable,
     y: RelationalVariable,
     candidate_pool,
-    max_depth: int,
+    sizes: range,
     *,
-    store: SepsetStore | None = None,
-    stats: Counter | None = None,
-    label: str = "sepset",
-    rng: np.random.Generator | None = None,
+    store: SepsetStore,
+    stats: Counter | None,
+    label: str,
+    rng: np.random.Generator | None,
 ) -> frozenset | None:
-    """First separating set among pool subsets of size 0..max_depth.
+    """First separating set among pool subsets whose size lies in ``sizes``.
 
-    Candidates are enumerated in canonical order (or a per-run permutation
-    when ``rng`` is given); a found set is recorded in the store.
+    Subsets are tried by size, each size in canonical order (or in a per-run
+    permutation of the pool when ``rng`` is given); a found set is recorded
+    in the store. Sizes beyond the pool are skipped, and a search with no
+    size left returns None before it draws from ``rng``.
     """
-    if x.perspective != y.perspective:
-        raise ValueError("variables must share a perspective")
     pool = sorted(set(candidate_pool) - {x, y}, key=variable_key)
+    sizes = [size for size in sizes if size <= len(pool)]
+    if not sizes:
+        return None
     if rng is not None:
         rng.shuffle(pool)
-    for size in range(min(max_depth, len(pool)) + 1):
+    for size in sizes:
         for combo in combinations(pool, size):
             cond = frozenset(combo)
             if stats is not None:
                 stats[label] += 1
-            if ci_backend.independent(CIQuery(x.perspective, x, y, cond)):
-                if store is not None:
-                    store.record(x, y, cond)
+            if ci_backend.independent(x, y, cond):
+                store.record(x, y, cond)
                 return cond
     return None

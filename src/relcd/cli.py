@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .agg import agg_to_dot
-from .ci import CIQuery, OracleCI, RegressionCI, oriented_agg
+from .ci import OracleCI, RegressionCI, check_query, oriented_agg
 from .errors import Infeasible
 from .harness import (
     BENCH_COLUMNS,
@@ -138,10 +138,9 @@ def cmd_dsep(args) -> None:
     given = frozenset(
         parse_variable(v) for v in args.given.split(";") if v.strip()
     )
-    query = CIQuery(
-        args.perspective, parse_variable(args.x), parse_variable(args.y), given
-    )
-    verdict = backend.independent(query)
+    x, y = parse_variable(args.x), parse_variable(args.y)
+    check_query(args.perspective, x, y, given)
+    verdict = backend.independent(x, y, given)
     sys.stdout.write("independent\n" if verdict else "dependent\n")
 
 

@@ -168,9 +168,13 @@ def random_model(
     """
     if num_deps < 0:
         raise ValueError("num_deps must be >= 0")
+    if max_parents < 0:
+        raise ValueError("max_parents must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     full_pool = potential_dependencies(schema, hop_threshold)
     rng = np.random.default_rng(seed)
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         pool = list(full_pool)
         chosen: list[RelationalDependency] = []
         edges: dict[AttributeClass, set[AttributeClass]] = {}

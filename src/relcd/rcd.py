@@ -15,19 +15,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
 from .agg import AggSet, build_all, orient, unshielded_triples
-from .ci import CIQuery, SepsetStore, find_sepset
+from .ci import SepsetStore, find_sepset
 from .model import (
     RelationalDependency,
     RelationalVariable,
     canonical_pair,
     potential_dependencies,
     reverse_dependency,
-    variable_key,
 )
 from .schema import Schema
 
@@ -90,7 +88,6 @@ def phase1(
     conditioning set drawn from the current cause candidates of the effect
     separates the pair; the witnessing set is recorded.
     """
-    stats = stats if stats is not None else Counter()
     sepsets = SepsetStore()
     pds = potential_dependencies(schema, config.hop_threshold)
     neighbors: dict[RelationalVariable, set[RelationalVariable]] = {}
@@ -105,22 +102,16 @@ def phase1(
             if dep not in live:
                 continue
             x, y = dep.cause, dep.effect
-            pool = sorted(neighbors[y] - {x}, key=variable_key)
-            if len(pool) < size:
-                continue
-            if rng is not None:
-                rng.shuffle(pool)
-            for combo in combinations(pool, size):
-                cond = frozenset(combo)
-                stats["phase1"] += 1
-                if ci_backend.independent(CIQuery(y.perspective, x, y, cond)):
-                    sepsets.record(x, y, cond)
-                    rev = reverse_dependency(dep)
-                    live.discard(dep)
-                    live.discard(rev)
-                    neighbors[y].discard(x)
-                    neighbors.setdefault(rev.effect, set()).discard(rev.cause)
-                    break
+            sep = find_sepset(
+                ci_backend, x, y, neighbors[y], range(size, size + 1),
+                store=sepsets, stats=stats, label="phase1", rng=rng,
+            )
+            if sep is not None:
+                rev = reverse_dependency(dep)
+                live.discard(dep)
+                live.discard(rev)
+                neighbors[y].discard(x)
+                neighbors.setdefault(rev.effect, set()).discard(rev.cause)
     return sorted(live, key=str), sepsets
 
 
@@ -140,34 +131,6 @@ def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:
             dep = reverse_dependency(pair)
         changed |= orient(agg_set, dep, rule=rule)
     return changed
-
-
-def _triple_sepset(
-    agg, sepsets, ci_backend, config, x, z, *, no_sepset, stats, label, rng
-):
-    """Stored or freshly searched separating set for endpoint ids x < z."""
-    xv, zv = agg.nodes[x], agg.nodes[z]
-    sep = sepsets.get(xv, zv)
-    if sep is None:
-        key = (agg.perspective, x, z)
-        if key in no_sepset:
-            return None
-        # x and z are non-adjacent, so neither is in the other's neighbors
-        pool = [agg.nodes[k] for k in agg.adjacency[x] | agg.adjacency[z]]
-        sep = find_sepset(
-            ci_backend,
-            xv,
-            zv,
-            pool,
-            config.depth,
-            store=sepsets,
-            stats=stats,
-            label=label,
-            rng=rng,
-        )
-        if sep is None:
-            no_sepset.add(key)
-    return sep
 
 
 def collider_detection(
@@ -233,12 +196,19 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
                 agg.edge_direction(x, y) is None or agg.edge_direction(z, y) is None
             ):
                 continue
-            sep = _triple_sepset(
-                agg, sepsets, ci_backend, config, x, z,
-                no_sepset=no_sepset, stats=stats, label=label, rng=rng,
-            )
+            sep = sepsets.get(a, b)
             if sep is None:
-                continue
+                if (perspective, x, z) in no_sepset:
+                    continue
+                # x and z are non-adjacent, so neither is in the other's neighbors
+                pool = [agg.nodes[k] for k in agg.adjacency[x] | agg.adjacency[z]]
+                sep = find_sepset(
+                    ci_backend, a, b, pool, range(config.depth + 1),
+                    store=sepsets, stats=stats, label=label, rng=rng,
+                )
+                if sep is None:
+                    no_sepset.add((perspective, x, z))
+                    continue
             if agg.nodes[y] not in sep:
                 _orient_edge(agg_set, agg, x, y, rule)
                 _orient_edge(agg_set, agg, z, y, rule)

@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -177,6 +178,8 @@ def random_schema(seed: int, num_entities: int, attr_rate: float = 1.0) -> Schem
     """
     if num_entities < 1:
         raise ValueError("num_entities must be >= 1")
+    if not 0 <= attr_rate < math.inf:
+        raise ValueError("attr_rate must be finite and >= 0")
     rng = np.random.default_rng(seed)
     entity_names = [f"E{i + 1}" for i in range(num_entities)]
     rel_specs: list[tuple[str, str, str, Cardinality, Cardinality]] = []

@@ -222,6 +222,8 @@ def random_skeleton(
     for entity in schema.entity_names:
         if sizes.get(entity, 0) < 1:
             raise ValueError(f"size for {entity!r} must be >= 1")
+    if not 0 < link_density < math.inf:
+        raise ValueError("link_density must be finite and > 0")
     rng = np.random.default_rng(seed)
     instances = {
         e.name: tuple(f"{e.name.lower()}{i}" for i in range(sizes[e.name]))

@@ -9,6 +9,18 @@ from relcd.paths import RelationalPath
 from relcd.schema import Cardinality, EntityClass, RelationshipClass, Schema
 
 
+class CountingCI:
+    """A CI backend that counts the queries it passes to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def independent(self, x, y, cond=frozenset()):
+        self.calls += 1
+        return self.inner.independent(x, y, cond)
+
+
 def var(path_items, attribute):
     return RelationalVariable(RelationalPath(tuple(path_items)), attribute)
 

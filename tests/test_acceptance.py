@@ -275,10 +275,10 @@ class _RecordingOracle:
         self.records = {}
         self.calls = 0
 
-    def independent(self, query):
+    def independent(self, x, y, cond=frozenset()):
         self.calls += 1
-        verdict = self.inner.independent(query)
-        self.records[(query.perspective, query.x, query.y, query.cond)] = verdict
+        verdict = self.inner.independent(x, y, cond)
+        self.records[(x.perspective, x, y, cond)] = verdict
         return verdict
 
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import relcd
 from relcd.ci import (
-    CIQuery,
     OracleCI,
     RegressionCI,
     SepsetStore,
+    check_query,
     find_sepset,
 )
 from relcd.errors import Infeasible
@@ -31,7 +31,7 @@ from relcd.skeleton import (
     save_skeleton,
     terminal_set,
 )
-from tests.conftest import propositional_model, single_entity_schema, var
+from tests.conftest import CountingCI, propositional_model, single_entity_schema, var
 
 
 POP = var(["ACTOR"], "Popularity")
@@ -42,42 +42,65 @@ SUCCESS = var(["MOVIE"], "Success")
 OTHER_SUCCESS = var(["MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE"], "Success")
 
 
-def test_query_validation():
-    with pytest.raises(ValueError):
-        CIQuery("ACTOR", POP, POP)
-    with pytest.raises(ValueError):
-        CIQuery("ACTOR", POP, COSTAR_POP, frozenset((POP,)))
-    with pytest.raises(ValueError):
-        CIQuery("MOVIE", POP, COSTAR_POP)
+INVALID_QUERIES = [
+    ((POP, POP), "query variables must differ"),
+    (
+        (POP, COSTAR_POP, frozenset((POP,))),
+        "conditioning set must exclude the query variables",
+    ),
+    ((SUCCESS, POP), r"\[ACTOR\].Popularity is not a MOVIE-perspective variable"),
+    (
+        (SUCCESS, POP_VIA_MOVIE, frozenset((POP,))),
+        r"\[ACTOR\].Popularity is not a MOVIE-perspective variable",
+    ),
+]
+
+
+def test_query_validation(movie_truth, movie_data):
+    for backend in (OracleCI(movie_truth, hops=8), RegressionCI(movie_data)):
+        backend.independent(POP, COSTAR_POP)  # a valid query fills the memo
+        for query, message in INVALID_QUERIES:
+            for _ in range(2):  # a refused query leaves no memo entry
+                with pytest.raises(ValueError, match=message):
+                    backend.independent(*query)
+    for query, message in INVALID_QUERIES:
+        with pytest.raises(ValueError, match=message):
+            check_query(query[0].perspective, *query)
 
 
 def test_oracle_movie_examples(movie_truth):
     independent = OracleCI(movie_truth, hops=8).independent
-    assert independent(CIQuery("ACTOR", POP, COSTAR_POP))
-    assert not independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS))
-    assert independent(
-        CIQuery("MOVIE", SUCCESS, OTHER_SUCCESS, frozenset((POP_VIA_MOVIE,))),
-    )
+    assert independent(POP, COSTAR_POP)
+    assert not independent(POP_VIA_MOVIE, SUCCESS)
+    assert independent(SUCCESS, OTHER_SUCCESS, frozenset((POP_VIA_MOVIE,)))
 
 
 def test_oracle_conditioning_opens_collider(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
     assert not backend.independent(
-        CIQuery("ACTOR", POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,)))
+        POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))
     )
 
 
 def test_oracle_rejects_out_of_range_variable(movie_truth):
     backend = OracleCI(movie_truth, hops=2)
     with pytest.raises(ValueError, match="outside"):
-        backend.independent(CIQuery("ACTOR", POP, COSTAR_POP))
+        backend.independent(POP, COSTAR_POP)
+
+
+def test_oracle_rejects_negative_hops(movie_truth):
+    with pytest.raises(ValueError, match="hops must be >= 0"):
+        OracleCI(movie_truth, hops=-1)
 
 
 def test_oracle_counts_calls(movie_truth):
-    backend = OracleCI(movie_truth, hops=8)
-    backend.independent(CIQuery("ACTOR", POP, COSTAR_POP))
-    backend.independent(CIQuery("ACTOR", POP, COSTAR_POP))
+    oracle = OracleCI(movie_truth, hops=8)
+    backend = CountingCI(oracle)
+    assert backend.independent(POP, COSTAR_POP)
+    assert backend.independent(COSTAR_POP, POP)
     assert backend.calls == 2
+    # both orders share one memo entry, so the memo counts the misses
+    assert len(oracle._memo) == 1
 
 
 @given(seed=st.integers(0, 2000))
@@ -96,10 +119,7 @@ def test_oracle_symmetry(seed):
     if x.attribute_class == y.attribute_class and x == y:
         return
     cond = frozenset((z,)) - {x, y}
-    p = schema.entities[0].name
-    assert backend.independent(CIQuery(p, x, y, cond)) == backend.independent(
-        CIQuery(p, y, x, cond)
-    )
+    assert backend.independent(x, y, cond) == backend.independent(y, x, cond)
 
 
 @given(seed=st.integers(0, 2000))
@@ -122,9 +142,7 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
     entity = schema.entities[0].name
     a, b = attrs[0], attrs[1]
     others = frozenset(var([entity], c) for c in attrs[2:3])
-    mine = backend.independent(
-        CIQuery(entity, var([entity], a), var([entity], b), others)
-    )
+    mine = backend.independent(var([entity], a), var([entity], b), others)
     theirs = nx.is_d_separator(
         g,
         {AttributeClass(entity, a)},
@@ -150,7 +168,7 @@ def test_regression_detects_direct_dependency(movie_truth, movie_schema):
         skel = random_skeleton(movie_schema, {"ACTOR": 1200, "MOVIE": 1200}, 3.0, seed=seed)
         values = sample_data(ground_graph(movie_truth, skel), seed=seed + 100)
         backend = RegressionCI(skel.with_values(values))
-        if not backend.independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS)):
+        if not backend.independent(POP_VIA_MOVIE, SUCCESS):
             hits += 1
     assert hits >= 19
 
@@ -164,7 +182,7 @@ def test_regression_null_size(movie_schema):
         skel = random_skeleton(movie_schema, {"ACTOR": 1200, "MOVIE": 1200}, 3.0, seed=seed)
         values = sample_data(ground_graph(null, skel), seed=seed + 500)
         backend = RegressionCI(skel.with_values(values))
-        if backend.independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS)):
+        if backend.independent(POP_VIA_MOVIE, SUCCESS):
             accepted += 1
     assert accepted >= 16  # roughly 1 - alpha of seeds
 
@@ -175,7 +193,7 @@ def test_regression_zero_variance_column(movie_schema, movie_truth):
     backend = RegressionCI(skel.with_values(values))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert backend.independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS))
+        assert backend.independent(POP_VIA_MOVIE, SUCCESS)
     assert backend.outcomes == {"zero_variance": 1}
 
 
@@ -183,7 +201,7 @@ def test_regression_insufficient_rows(movie_schema, movie_truth):
     skel = random_skeleton(movie_schema, {"ACTOR": 2, "MOVIE": 2}, 1.0, seed=0)
     values = sample_data(ground_graph(movie_truth, skel), seed=1)
     backend = RegressionCI(skel.with_values(values))
-    assert backend.independent(CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS))
+    assert backend.independent(POP_VIA_MOVIE, SUCCESS)
     assert backend.outcomes == {"too_few_rows": 1}
 
 
@@ -261,12 +279,12 @@ def test_regression_invariant_to_rescaling(movie_data):
         movie_data.with_values({k: v * 10.0 for k, v in movie_data.values.items()})
     )
     queries = [
-        CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS),
-        CIQuery("ACTOR", POP, COSTAR_POP),
-        CIQuery("ACTOR", POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))),
+        (POP_VIA_MOVIE, SUCCESS),
+        (POP, COSTAR_POP),
+        (POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))),
     ]
     for q in queries:
-        assert base.independent(q) == scaled.independent(q)
+        assert base.independent(*q) == scaled.independent(*q)
 
 
 def test_regression_invariant_to_row_order(movie_schema, movie_truth):
@@ -291,10 +309,10 @@ def test_regression_invariant_to_row_order(movie_schema, movie_truth):
             for (cls, inst, attr), v in values.items()
         },
     )
-    q = CIQuery("MOVIE", POP_VIA_MOVIE, SUCCESS)
-    assert RegressionCI(skel.with_values(values)).independent(q) == RegressionCI(
+    q = (POP_VIA_MOVIE, SUCCESS)
+    assert RegressionCI(skel.with_values(values)).independent(*q) == RegressionCI(
         shuffled
-    ).independent(q)
+    ).independent(*q)
 
 
 COLUMN_BYTES = """
@@ -339,8 +357,7 @@ def test_regression_columns_independent_of_hash_seed(tmp_path, movie_truth):
 
 
 def test_regression_facade(movie_data):
-    query = CIQuery("ACTOR", POP, COSTAR_POP)
-    assert RegressionCI(movie_data).independent(query) is True
+    assert RegressionCI(movie_data).independent(POP, COSTAR_POP) is True
 
 
 def test_find_sepset_movie(movie_truth):
@@ -352,38 +369,63 @@ def test_find_sepset_movie(movie_truth):
         POP,
         COSTAR_POP,
         [SUCCESS_VIA_ACTOR],
-        max_depth=3,
+        range(4),
         store=store,
         stats=stats,
         label="probe",
+        rng=None,
     )
     assert sep == frozenset()
     assert store.get(POP, COSTAR_POP) == frozenset()
     assert stats["probe"] == 1
 
 
+def _search(backend, x, y, pool, sizes, stats=None, rng=None):
+    return find_sepset(
+        backend, x, y, pool, sizes,
+        store=SepsetStore(), stats=stats, label="probe", rng=rng,
+    )
+
+
 def test_find_sepset_none_for_direct_dependency(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
-    assert (
-        find_sepset(backend, POP_VIA_MOVIE, SUCCESS, [OTHER_SUCCESS], 3) is None
-    )
+    assert _search(backend, POP_VIA_MOVIE, SUCCESS, [OTHER_SUCCESS], range(4)) is None
 
 
 def test_find_sepset_empty_pool(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
     stats = Counter()
-    sep = find_sepset(backend, POP, COSTAR_POP, [], 0, stats=stats)
+    sep = _search(backend, POP, COSTAR_POP, [], range(1), stats=stats)
     assert sep == frozenset()
     assert stats.total() == 1
 
 
 def test_stats_match_backend_invocations(movie_truth):
-    backend = OracleCI(movie_truth, hops=8)
+    backend = CountingCI(OracleCI(movie_truth, hops=8))
     stats = Counter()
-    find_sepset(
-        backend, POP_VIA_MOVIE, SUCCESS, [OTHER_SUCCESS], 2, stats=stats
+    _search(backend, POP_VIA_MOVIE, SUCCESS, [OTHER_SUCCESS], range(3), stats=stats)
+    assert stats.total() == backend.calls == 2
+
+
+def test_find_sepset_tries_only_the_given_sizes(movie_truth):
+    backend = CountingCI(OracleCI(movie_truth, hops=8))
+    far_pop = var(
+        ["MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE", "STARS-IN", "ACTOR"],
+        "Popularity",
     )
-    assert stats.total() == backend.calls
+    pool = [OTHER_SUCCESS, far_pop]
+    # one size, as phase I asks: only single members of the pool are tried
+    stats = Counter()
+    assert _search(backend, POP_VIA_MOVIE, SUCCESS, pool, range(1, 2), stats) is None
+    assert stats.total() == backend.calls == 2
+    # a size beyond the pool skips the search before it draws from the rng
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert _search(backend, POP_VIA_MOVIE, SUCCESS, pool, range(3, 4), rng=rng) is None
+    assert rng.bit_generator.state == state
+    assert backend.calls == 2
+    _search(backend, POP_VIA_MOVIE, SUCCESS, pool, range(2, 3), rng=rng)
+    assert rng.bit_generator.state != state
 
 
 def test_sepset_store_keeps_first():

@@ -139,6 +139,63 @@ def test_gen_skeleton_rejects_bad_sizes(tmp_path, movie_files, sizes):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("density", ["inf", "nan", "0", "-3"])
+def test_gen_skeleton_rejects_bad_density(tmp_path, capsys, movie_files, density):
+    schema_path, _ = movie_files
+    argv = [
+        "gen", "skeleton", "--schema", schema_path, "--sizes", "ACTOR=5,MOVIE=5",
+        "--density", density, "-o", tmp_path / "s",
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: link_density must be finite and > 0\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    ("extra", "message"),
+    [
+        (["--max-parents", -1], "max_parents must be >= 0"),
+        (["--restarts", 0], "restarts must be >= 1"),
+        (["--restarts", -3], "restarts must be >= 1"),
+    ],
+    ids=["max-parents-1", "restarts0", "restarts-3"],
+)
+def test_gen_model_rejects_bad_bounds(tmp_path, capsys, movie_files, extra, message):
+    schema_path, _ = movie_files
+    out = tmp_path / "generated.json"
+    argv = ["gen", "model", "--schema", schema_path, "--deps", 1, *extra, "-o", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+def test_gen_schema_rejects_bad_attr_rate(tmp_path, capsys, rate):
+    out = tmp_path / "schema.json"
+    argv = ["gen", "schema", "--entities", 2, "--attr-rate", rate, "-o", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: attr_rate must be finite and >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "dsep"])
+def test_negative_oracle_hops_are_named(capsys, movie_files, command):
+    schema_path, model_path = movie_files
+    if command == "learn":
+        argv = [
+            "learn", "--schema", schema_path, "--model", model_path,
+            "--oracle-hops", -1,
+        ]
+    else:
+        argv = [
+            "dsep", "--model", model_path, "--perspective", "ACTOR",
+            "--x", "[ACTOR].Popularity", "--y", "[ACTOR, STARS-IN, MOVIE].Success",
+            "--hops", -1,
+        ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: hops must be >= 0\n"
+
+
 def test_dsep_command(capsys, movie_files):
     schema_path, model_path = movie_files
     code = run(
@@ -199,6 +256,56 @@ def test_dsep_names_why_a_variable_is_unknown(capsys, movie_files, y, hops, mess
         "--x", "[ACTOR].Popularity",
         "--y", y,
         "--hops", hops,
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "perspective,x,y,given,message",
+    [
+        (
+            "ACTOR",
+            "[ACTOR].Popularity",
+            "[ACTOR].Popularity",
+            "",
+            "query variables must differ",
+        ),
+        (
+            "ACTOR",
+            "[ACTOR].Popularity",
+            "[ACTOR, STARS-IN, MOVIE].Success",
+            "[ACTOR, STARS-IN, MOVIE].Success",
+            "conditioning set must exclude the query variables",
+        ),
+        (
+            "ACTOR",
+            "[MOVIE].Success",
+            "[ACTOR].Popularity",
+            "",
+            "[MOVIE].Success is not a ACTOR-perspective variable",
+        ),
+        (
+            "MOVIE",
+            "[MOVIE].Success",
+            "[ACTOR].Popularity",
+            "",
+            "[ACTOR].Popularity is not a MOVIE-perspective variable",
+        ),
+    ],
+    ids=["same-variable", "y-in-given", "x-perspective", "y-perspective"],
+)
+def test_dsep_rejects_invalid_queries(
+    capsys, movie_files, perspective, x, y, given, message
+):
+    _, model_path = movie_files
+    argv = [
+        "dsep",
+        "--model", model_path,
+        "--perspective", perspective,
+        "--x", x,
+        "--y", y,
+        "--given", given,
     ]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -178,6 +178,26 @@ def test_random_model_deterministic():
     assert random_model(schema, 5, seed=9) == random_model(schema, 5, seed=9)
 
 
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"max_parents": -1}, "max_parents must be >= 0"),
+        ({"restarts": 0}, "restarts must be >= 1"),
+        ({"restarts": -3}, "restarts must be >= 1"),
+    ],
+    ids=["max-parents-1", "restarts0", "restarts-3"],
+)
+def test_random_model_rejects_bad_bounds(movie_schema, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        random_model(movie_schema, 1, seed=0, **kwargs)
+
+
+def test_random_model_accepts_zero_parents(movie_schema):
+    assert random_model(movie_schema, 0, max_parents=0).dependencies == ()
+    with pytest.raises(Infeasible):
+        random_model(movie_schema, 1, max_parents=0, restarts=3)
+
+
 def test_random_model_infeasible():
     schema = single_entity_schema("X")
     with pytest.raises(Infeasible):

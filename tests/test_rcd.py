@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd.agg import build_all, orient
-from relcd.ci import CIQuery, OracleCI, SepsetStore
+from relcd.ci import OracleCI
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import (
@@ -27,7 +27,13 @@ from relcd.rcd import (
     rcd_learn,
 )
 from relcd.schema import random_schema
-from tests.conftest import dep, propositional_model, single_entity_schema, var
+from tests.conftest import (
+    CountingCI,
+    dep,
+    propositional_model,
+    single_entity_schema,
+    var,
+)
 
 
 def learn(truth, **config_kwargs):
@@ -225,7 +231,7 @@ def test_oracle_learning_sound_and_exact(seed, deps):
 
 
 def test_majority_vote_oracle_equals_single_run(movie_truth):
-    backend = OracleCI(movie_truth, 8)
+    backend = CountingCI(OracleCI(movie_truth, 8))
     single = rcd_learn(movie_truth.schema, backend, LearnConfig())
     calls_before = backend.calls
     vote = majority_vote(
@@ -249,12 +255,12 @@ class FlakyOnFirstRun:
         self.flaky_hits = 0
         self.calls = 0
 
-    def independent(self, query):
+    def independent(self, x, y, cond=frozenset()):
         self.calls += 1
-        if {query.x, query.y} == self.flaky_pair and not query.cond:
+        if {x, y} == self.flaky_pair and not cond:
             self.flaky_hits += 1
             return self.flaky_hits == 1
-        return self.inner.independent(query)
+        return self.inner.independent(x, y, cond)
 
 
 def test_majority_vote_threshold_semantics():

@@ -96,6 +96,18 @@ def test_random_schema_rejects_bad_count():
         random_schema(0, 0)
 
 
+@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+def test_random_schema_rejects_bad_attr_rate(rate):
+    with pytest.raises(ValueError, match="attr_rate must be finite and >= 0"):
+        random_schema(0, 2, attr_rate=rate)
+
+
+def test_random_schema_zero_attr_rate_gives_one_attribute_each():
+    schema = random_schema(5, 3, attr_rate=0.0)
+    for item in schema.item_classes.values():
+        assert len(item.attributes) == 1
+
+
 def test_relationships_of_movie(movie_schema):
     assert relationships_of(movie_schema, "ACTOR") == {"STARS-IN"}
     assert relationships_of(movie_schema, "MOVIE") == {"STARS-IN"}

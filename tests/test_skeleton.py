@@ -61,6 +61,12 @@ def test_random_skeleton_respects_one_cardinality(employer_schema, seed):
     assert len(employees) == len(set(employees))
 
 
+@pytest.mark.parametrize("density", [float("inf"), float("nan"), 0.0, -3.0])
+def test_random_skeleton_rejects_bad_density(movie_schema, density):
+    with pytest.raises(ValueError, match="link_density must be finite and > 0"):
+        random_skeleton(movie_schema, {"ACTOR": 4, "MOVIE": 4}, density, seed=0)
+
+
 def test_random_skeleton_density_infeasible(employer_schema):
     with pytest.raises(Infeasible):
         random_skeleton(employer_schema, {"EMPLOYEE": 3, "COMPANY": 3}, 5.0, seed=0)

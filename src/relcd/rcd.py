@@ -174,9 +174,10 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
     perspective's own attribute across a MANY reverse path, is the special
     case where one endpoint is the base variable.
 
-    Pairs with no recorded separating set are searched afresh over the union
-    of the endpoints' current neighbors; failures are remembered for the
-    pass so a pair is scanned at most once.
+    Pairs with no recorded separating set are searched afresh as in PC:
+    first among subsets of x's current neighbors, then, if none separates,
+    among subsets of z's. Failures are remembered for the pass so a pair is
+    scanned at most once.
     """
     rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
     no_sepset: set[tuple[str, int, int]] = set()
@@ -201,11 +202,15 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
                 if (perspective, x, z) in no_sepset:
                     continue
                 # x and z are non-adjacent, so neither is in the other's neighbors
-                pool = [agg.nodes[k] for k in agg.adjacency[x] | agg.adjacency[z]]
-                sep = find_sepset(
-                    ci_backend, a, b, pool, range(config.depth + 1),
-                    store=sepsets, stats=stats, label=label, rng=rng,
-                )
+                for end in (x, z):
+                    sep = find_sepset(
+                        ci_backend, a, b,
+                        [agg.nodes[k] for k in agg.adjacency[end]],
+                        range(config.depth + 1),
+                        store=sepsets, stats=stats, label=label, rng=rng,
+                    )
+                    if sep is not None:
+                        break
                 if sep is None:
                     no_sepset.add((perspective, x, z))
                     continue

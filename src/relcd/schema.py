@@ -9,7 +9,6 @@ construction.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -174,12 +173,13 @@ def random_schema(seed: int, num_entities: int, attr_rate: float = 1.0) -> Schem
     ``num_entities`` entity classes are connected by ``num_entities - 1``
     binary relationship classes (each new entity attaches to a uniformly
     chosen earlier one). Participant cardinalities are uniform over
-    {ONE, MANY} and every item class draws Pois(attr_rate) + 1 attributes.
+    {ONE, MANY} and every item class draws Pois(attr_rate) + 1 attributes;
+    the rate is capped at 100 so that a class holds a bounded name list.
     """
     if num_entities < 1:
         raise ValueError("num_entities must be >= 1")
-    if not 0 <= attr_rate < math.inf:
-        raise ValueError("attr_rate must be finite and >= 0")
+    if not 0 <= attr_rate <= 100:
+        raise ValueError("attr_rate must be finite and in [0, 100]")
     rng = np.random.default_rng(seed)
     entity_names = [f"E{i + 1}" for i in range(num_entities)]
     rel_specs: list[tuple[str, str, str, Cardinality, Cardinality]] = []

@@ -169,12 +169,13 @@ def test_gen_model_rejects_bad_bounds(tmp_path, capsys, movie_files, extra, mess
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("rate", ["-1", "nan", "inf", "1e9", "1e300"])
 def test_gen_schema_rejects_bad_attr_rate(tmp_path, capsys, rate):
     out = tmp_path / "schema.json"
     argv = ["gen", "schema", "--entities", 2, "--attr-rate", rate, "-o", out]
     assert run(argv) == 2
-    assert capsys.readouterr().err == "error: attr_rate must be finite and >= 0\n"
+    message = "error: attr_rate must be finite and in [0, 100]\n"
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

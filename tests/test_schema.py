@@ -96,10 +96,20 @@ def test_random_schema_rejects_bad_count():
         random_schema(0, 0)
 
 
-@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
-def test_random_schema_rejects_bad_attr_rate(rate):
-    with pytest.raises(ValueError, match="attr_rate must be finite and >= 0"):
+@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf"), 1e9, 1e300])
+def test_random_schema_rejects_bad_attr_rate(monkeypatch, rate):
+    def no_draws(seed):
+        raise AssertionError("a rejected rate must draw nothing")
+
+    monkeypatch.setattr("relcd.schema.np.random.default_rng", no_draws)
+    message = r"attr_rate must be finite and in \[0, 100\]"
+    with pytest.raises(ValueError, match=message):
         random_schema(0, 2, attr_rate=rate)
+
+
+def test_random_schema_accepts_the_largest_attr_rate():
+    schema = random_schema(0, 1, attr_rate=100.0)
+    assert len(schema.entities[0].attributes) > 1
 
 
 def test_random_schema_zero_attr_rate_gives_one_attribute_each():

@@ -4,14 +4,16 @@ Each perspective gets a graph over the relational variables reachable from
 it, interned once as integer ids in ``variable_key`` order: adjacency,
 edges, triples and the orientation rules work on ids, so sorting ids sorts
 variables canonically. A single canonical dependency can support many edges
-within and across these graphs, so direction is not stored on edges: every
-edge carries the unordered dependency pair that produced it, and a registry
-shared by the whole set maps each pair to its current orientation.
-Orienting a pair therefore directs every supporting edge everywhere at once.
+within and across these graphs: every edge carries the unordered dependency
+pairs that produced it, and each graph knows the edges of each pair. A
+registry shared by the whole set maps each pair to its current orientation;
+orienting a pair writes it there once and directs every supporting edge in
+every graph at once, as bits in the graph's ``parents`` and ``children``
+id bitmasks.
 
-Once every pair is oriented, ``DirectedSnapshot`` holds a graph's parents
-and children as id bitmasks and answers d-separation by Bayes-ball over
-frontier masks; the oracle backend and ``d_separated`` both query it.
+A fully directed graph answers d-separation itself (``Agg.d_separated``),
+by Bayes-ball over those masks; the oracle backend and ``d_separated`` both
+query it.
 """
 
 from __future__ import annotations
@@ -39,10 +41,14 @@ class Agg:
     a variable's id is its position there, and ``index`` maps it back.
     ``adjacency[i]`` is the set of ids adjacent to node ``i``, and
     ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the dependency
-    pairs that support it. Distinct pairs can support one edge when two
-    cause paths connect the same attribute classes within the hop budget;
-    they always relate the same attribute classes, so direction stays well
-    defined.
+    pairs that support it; ``pair_edges`` maps each pair back to its edges.
+    Distinct pairs can support one edge when two cause paths connect the
+    same attribute classes within the hop budget; they always relate the
+    same attribute classes, so direction stays well defined.
+
+    Bit j of ``parents[i]`` (an ``int``) is set once j -> i is directed, and
+    of ``children[i]`` once i -> j is; an edge with neither bit is
+    undirected.
     """
 
     perspective: str
@@ -50,7 +56,9 @@ class Agg:
     index: dict[RelationalVariable, int]
     adjacency: tuple[frozenset[int], ...]
     edge_pairs: dict[tuple[int, int], tuple[RelationalDependency, ...]]
-    registry: Registry
+    pair_edges: dict[RelationalDependency, tuple[tuple[int, int], ...]]
+    parents: list[int]
+    children: list[int]
 
     def is_adjacent(self, i: int, j: int) -> bool:
         return j in self.adjacency[i]
@@ -59,20 +67,28 @@ class Agg:
         """The dependency pairs supporting edge i - j, in either order."""
         return self.edge_pairs[(i, j) if i < j else (j, i)]
 
-    def edge_direction(self, i: int, j: int) -> tuple[int, int] | None:
-        """(source, target) ids for a directed edge, None while undirected.
+    def direct(
+        self, pair: RelationalDependency, oriented: RelationalDependency
+    ) -> None:
+        """Direct every edge of ``pair`` as ``oriented`` (one of its directions).
 
         All pairs supporting an edge relate the same two attribute classes,
-        so any oriented one fixes the direction; inconsistencies between
-        them are refused at orientation time.
+        so the first oriented one fixes the edge's direction; ``orient``
+        refuses every later pair that would oppose it.
         """
-        for pair in self.pairs_of(i, j):
-            oriented = self.registry[pair]
-            if oriented is None:
-                continue
-            node, cause = self.nodes[i], oriented.cause
-            if node.attribute == cause.attribute and node.path.last == cause.path.last:
-                return (i, j)
+        cause = oriented.cause
+        for src, dst in self.pair_edges.get(pair, ()):
+            node = self.nodes[src]
+            if node.attribute != cause.attribute or node.path.last != cause.path.last:
+                src, dst = dst, src
+            self.children[src] |= 1 << dst
+            self.parents[dst] |= 1 << src
+
+    def edge_direction(self, i: int, j: int) -> tuple[int, int] | None:
+        """(source, target) ids for a directed edge, None while undirected."""
+        if self.children[i] >> j & 1:
+            return (i, j)
+        if self.parents[i] >> j & 1:
             return (j, i)
         return None
 
@@ -89,10 +105,43 @@ class Agg:
 
     def is_fully_directed(self) -> bool:
         return all(
-            self.registry[pair] is not None
-            for pairs in self.edge_pairs.values()
-            for pair in pairs
+            (self.parents[i] | self.children[i]) >> j & 1 for i, j in self.edge_pairs
         )
+
+    def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
+        """Whether no active trail joins node x to node y given nodes z.
+
+        Reads a fully directed graph. Bayes-ball (Shachter 1998), one
+        frontier level at a time: ``up`` holds nodes the ball reached from a
+        child, ``down`` nodes it reached from a parent. A node outside Z
+        passes the ball on to its children, and to its parents when it came
+        from a child; a node in Z sends a ball from a parent back up to its
+        parents. That bounce opens every collider with a descendant in Z, so
+        anc(Z) is never built.
+        """
+        parents, children = self.parents, self.children
+        in_z = 0
+        for i in z:
+            in_z |= 1 << i
+        free, target = ~in_z, 1 << y
+        up, down = 1 << x, 0
+        seen_up = seen_down = 0
+        while up or down:
+            seen_up |= up
+            seen_down |= down
+            lift, drop = (up & free) | (down & in_z), (up | down) & free
+            up = down = 0
+            while lift:
+                up |= parents[(lift & -lift).bit_length() - 1]
+                lift &= lift - 1
+            while drop:
+                down |= children[(drop & -drop).bit_length() - 1]
+                drop &= drop - 1
+            up &= ~seen_up
+            down &= ~seen_down
+            if (up | down) & target:
+                return False
+        return True
 
 
 @dataclass
@@ -117,7 +166,6 @@ def build_agg(
     schema: Schema,
     perspective: str,
     node_hops: int,
-    registry: Registry | None = None,
 ) -> Agg:
     """Lift a dependency set into the graph seen from one perspective.
 
@@ -128,11 +176,8 @@ def build_agg(
     each candidate up among the nodes: they hold every valid path in bound.
     """
     deps = sorted(set(dependencies), key=str)
-    if registry is None:
-        registry = {}
     for dep in deps:
         validate_dependency(dep, schema)
-        registry.setdefault(canonical_pair(dep), None)
     paths = enumerate_paths(schema, perspective, node_hops)
     by_last: dict[str, list] = {}
     for p in paths:
@@ -150,6 +195,7 @@ def build_agg(
     index = {v: i for i, v in enumerate(nodes)}
     by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
     supports: dict[tuple[int, int], set[RelationalDependency]] = {}
+    pair_edges: dict[RelationalDependency, set[tuple[int, int]]] = {}
     adjacency: list[set[int]] = [set() for _ in nodes]
     for dep in deps:
         effect_cls = dep.effect.path.last
@@ -159,7 +205,9 @@ def build_agg(
             for items in compositions(q.items, dep.cause.path.items):
                 u = by_key.get((items, dep.cause.attribute))
                 if u is not None:
-                    supports.setdefault((min(u, v), max(u, v)), set()).add(pair)
+                    edge = (min(u, v), max(u, v))
+                    supports.setdefault(edge, set()).add(pair)
+                    pair_edges.setdefault(pair, set()).add(edge)
                     adjacency[u].add(v)
                     adjacency[v].add(u)
     return Agg(
@@ -168,17 +216,21 @@ def build_agg(
         index=index,
         adjacency=tuple(frozenset(n) for n in adjacency),
         edge_pairs={k: tuple(sorted(p, key=str)) for k, p in supports.items()},
-        registry=registry,
+        pair_edges={p: tuple(sorted(e)) for p, e in pair_edges.items()},
+        parents=[0] * len(nodes),
+        children=[0] * len(nodes),
     )
 
 
 def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
     """One graph per item class, all sharing one orientation registry."""
-    registry: Registry = {}
     aggs = {
-        perspective: build_agg(dependencies, schema, perspective, node_hops, registry)
+        perspective: build_agg(dependencies, schema, perspective, node_hops)
         for perspective in sorted(schema.item_classes)
     }
+    registry: Registry = dict.fromkeys(
+        canonical_pair(dep) for dep in sorted(set(dependencies), key=str)
+    )
     siblings: dict[frozenset, list[RelationalDependency]] = {}
     for pair in registry:
         siblings.setdefault(_classes(pair), []).append(pair)
@@ -188,7 +240,7 @@ def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
 def orient(
     agg_set: AggSet, dependency: RelationalDependency, rule: str | None = None
 ) -> bool:
-    """Register a dependency's direction, directing all supporting edges.
+    """Register a dependency's direction, directing its edges in every graph.
 
     Returns True when the registry changed. Re-orienting in the same
     direction is a no-op; an orientation opposing the pair's own state or
@@ -219,6 +271,8 @@ def orient(
             )
             return False
     agg_set.registry[pair] = dependency
+    for agg in agg_set.aggs.values():
+        agg.direct(pair, dependency)
     if rule is not None:
         agg_set.attribution[pair] = rule
     return True
@@ -240,60 +294,6 @@ def unshielded_triples(agg: Agg):
     return out
 
 
-class DirectedSnapshot:
-    """Parents and children, as id bitmasks, of one fully directed graph.
-
-    The only d-separation kernel. Bit j of ``parents[i]`` (an ``int``) is
-    set when j -> i, and of ``children[i]`` when i -> j. ``index`` is the
-    graph's own.
-    """
-
-    def __init__(self, agg):
-        self.index = agg.index
-        n = len(agg.nodes)
-        parents, children = [0] * n, [0] * n
-        for i, j in agg.edge_pairs:
-            src, dst = agg.edge_direction(i, j)
-            children[src] |= 1 << dst
-            parents[dst] |= 1 << src
-        self.parents, self.children = parents, children
-
-    def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
-        """Whether no active trail joins node x to node y given nodes z.
-
-        Bayes-ball (Shachter 1998), one frontier level at a time: ``up``
-        holds nodes the ball reached from a child, ``down`` nodes it
-        reached from a parent. A node outside Z passes the ball on to its
-        children, and to its parents when it came from a child; a node in
-        Z sends a ball from a parent back up to its parents. That bounce
-        opens every collider with a descendant in Z, so anc(Z) is never
-        built.
-        """
-        parents, children = self.parents, self.children
-        in_z = 0
-        for i in z:
-            in_z |= 1 << i
-        free, target = ~in_z, 1 << y
-        up, down = 1 << x, 0
-        seen_up = seen_down = 0
-        while up or down:
-            seen_up |= up
-            seen_down |= down
-            lift, drop = (up & free) | (down & in_z), (up | down) & free
-            up = down = 0
-            while lift:
-                up |= parents[(lift & -lift).bit_length() - 1]
-                lift &= lift - 1
-            while drop:
-                down |= children[(drop & -drop).bit_length() - 1]
-                drop &= drop - 1
-            up &= ~seen_up
-            down &= ~seen_down
-            if (up | down) & target:
-                return False
-        return True
-
-
 def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
     """Standard d-separation on a fully directed lifted graph.
 
@@ -307,10 +307,9 @@ def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
         raise ValueError("query sets must be disjoint")
     if not agg.is_fully_directed():
         raise ValueError("graph has undirected edges; orient all dependencies first")
-    snap = DirectedSnapshot(agg)
     index = agg.index
     zi = frozenset(index[v] for v in z)
-    return all(snap.d_separated(index[a], index[b], zi) for a in x for b in y)
+    return all(agg.d_separated(index[a], index[b], zi) for a in x for b in y)
 
 
 def agg_to_dot(agg: Agg) -> str:

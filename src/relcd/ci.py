@@ -8,10 +8,10 @@ checked again. The oracle checks by node id: a variable it finds in the
 perspective's graph belongs to that perspective, so only a repeated id
 (x equal to y, or x or y in ``cond``) is left to refuse.
 
-The exact oracle answers over the fully directed lifted graphs of a known
-model (``oriented_agg``); the regression test averages each variable over
-its terminal sets in skeleton data, one relational path at a time
-(``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
+The exact oracle asks the fully directed lifted graphs of a known model
+(``oriented_agg``) for d-separation; the regression test averages each
+variable over its terminal sets in skeleton data, one relational path at a
+time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
 of both learner phases; it counts its tests per label in a ``Counter``.
 """
 
@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse, special
 
-from .agg import Agg, DirectedSnapshot, build_agg
+from .agg import Agg, build_agg
 from .model import (
     RelationalModel,
     RelationalVariable,
@@ -76,8 +76,10 @@ class SepsetStore:
 
 def oriented_agg(model: RelationalModel, perspective: str, hops: int) -> Agg:
     """One perspective's lifted graph of a model, directed as the model is."""
-    registry = {canonical_pair(d): d for d in model.dependencies}
-    return build_agg(model.dependencies, model.schema, perspective, hops, registry)
+    agg = build_agg(model.dependencies, model.schema, perspective, hops)
+    for d in model.dependencies:
+        agg.direct(canonical_pair(d), d)
+    return agg
 
 
 class OracleCI:
@@ -92,15 +94,16 @@ class OracleCI:
             raise ValueError("hops must be >= 0")
         self.model = model
         self.hops = hops
-        self._snapshots: dict[str, DirectedSnapshot] = {}
+        self._aggs: dict[str, Agg] = {}
         self._memo: dict[tuple, bool] = {}
 
-    def _snapshot(self, perspective: str) -> DirectedSnapshot:
-        snap = self._snapshots.get(perspective)
-        if snap is None:
-            snap = DirectedSnapshot(oriented_agg(self.model, perspective, self.hops))
-            self._snapshots[perspective] = snap
-        return snap
+    def _agg(self, perspective: str) -> Agg:
+        agg = self._aggs.get(perspective)
+        if agg is None:
+            agg = self._aggs[perspective] = oriented_agg(
+                self.model, perspective, self.hops
+            )
+        return agg
 
     def independent(
         self,
@@ -109,8 +112,8 @@ class OracleCI:
         cond: frozenset[RelationalVariable] = frozenset(),
     ) -> bool:
         perspective = x.perspective
-        snap = self._snapshot(perspective)
-        index = snap.index
+        agg = self._agg(perspective)
+        index = agg.index
         try:
             xi, yi = index[x], index[y]
             zi = frozenset([index[c] for c in cond])
@@ -124,7 +127,7 @@ class OracleCI:
             # overlap checks remain, and ids decide them
             if xi == yi or xi in zi or yi in zi:
                 check_query(perspective, x, y, cond)
-            verdict = self._memo[key] = snap.d_separated(xi, yi, zi)
+            verdict = self._memo[key] = agg.d_separated(xi, yi, zi)
         return verdict
 
     def _unknown(self, v: RelationalVariable) -> str:

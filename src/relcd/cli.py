@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["rbo_after_cd", "rbo_first", "rbo_last"])
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--vote-threshold", type=float, default=2 / 3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the order-randomized runs of a vote; "
+                   "with --runs 1 it has no effect")
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_learn)

@@ -220,8 +220,11 @@ def model_to_dict(model: RelationalModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> RelationalModel:
-    schema = schema_from_dict(doc["schema"])
-    deps = tuple(parse_dependency(t) for t in doc.get("dependencies", ()))
+    try:
+        schema = schema_from_dict(doc["schema"])
+        deps = tuple(parse_dependency(t) for t in doc.get("dependencies", ()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed model document: {exc}") from exc
     return RelationalModel(schema, deps)
 
 

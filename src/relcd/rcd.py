@@ -6,9 +6,10 @@ per-perspective graphs and orients them. Collider detection and bivariate
 orientation across MANY-cardinality paths are one test on lifted unshielded
 triples, run as two passes that split the triples by whether the endpoints
 share an attribute class. The non-collider / cycle-avoidance / double-parent
-propagation rules then run to a fixpoint, with every orientation propagated
-through the shared registry. A run returns the pattern, its CI-test counts
-per label, the rule that oriented each pair and the conflicts it refused.
+propagation rules then run to a fixpoint. Each orientation is registered
+once and directs its edges in every perspective's graph. A run returns the
+pattern, its CI-test counts per label, the rule that oriented each pair and
+the conflicts it refused.
 """
 
 from __future__ import annotations
@@ -193,9 +194,8 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
             a, b = agg.nodes[x], agg.nodes[z]
             if (a.attribute == b.attribute and a.path.last == b.path.last) != rbo:
                 continue
-            if not (
-                agg.edge_direction(x, y) is None or agg.edge_direction(z, y) is None
-            ):
+            directed = agg.parents[y] | agg.children[y]
+            if directed >> x & 1 and directed >> z & 1:
                 continue
             sep = sepsets.get(a, b)
             if sep is None:
@@ -240,15 +240,13 @@ def meek_rules(agg_set: AggSet) -> None:
 
 
 def _directed_parents(agg, y):
-    return [
-        nb for nb in sorted(agg.adjacency[y]) if agg.edge_direction(nb, y) == (nb, y)
-    ]
+    parents = agg.parents[y]
+    return [nb for nb in sorted(agg.adjacency[y]) if parents >> nb & 1]
 
 
 def _undirected_neighbors(agg, y):
-    return [
-        nb for nb in sorted(agg.adjacency[y]) if agg.edge_direction(nb, y) is None
-    ]
+    directed = agg.parents[y] | agg.children[y]
+    return [nb for nb in sorted(agg.adjacency[y]) if not directed >> nb & 1]
 
 
 def _knc_pass(agg_set: AggSet, agg) -> bool:
@@ -267,13 +265,9 @@ def _ca_pass(agg_set: AggSet, agg) -> bool:
     changed = False
     for x in range(len(agg.nodes)):
         for z in _undirected_neighbors(agg, x):
-            # directed path x -> v -> z with v adjacent to both
-            for v in sorted(agg.adjacency[x] & agg.adjacency[z]):
-                if agg.edge_direction(x, v) == (x, v) and agg.edge_direction(
-                    v, z
-                ) == (v, z):
-                    changed |= _orient_edge(agg_set, agg, x, z, "CA")
-                    break
+            # a directed path x -> v -> z
+            if agg.children[x] & agg.parents[z]:
+                changed |= _orient_edge(agg_set, agg, x, z, "CA")
     return changed
 
 
@@ -282,13 +276,7 @@ def _mr3_pass(agg_set: AggSet, agg) -> bool:
     for x in range(len(agg.nodes)):
         undirected = _undirected_neighbors(agg, x)
         for y in undirected:
-            into_y = [
-                v
-                for v in undirected
-                if v != y
-                and agg.is_adjacent(v, y)
-                and agg.edge_direction(v, y) == (v, y)
-            ]
+            into_y = [v for v in undirected if agg.parents[y] >> v & 1]
             done = False
             for i, z in enumerate(into_y):
                 for w in into_y[i + 1 :]:
@@ -370,9 +358,7 @@ def majority_vote(
         for dep in pattern.directed:
             direction[dep] += 1
             pair = canonical_pair(dep)
-            rule_votes.setdefault(pair, Counter())[
-                pattern.attribution.get(pair, "CD")
-            ] += 1
+            rule_votes.setdefault(pair, Counter())[pattern.attribution[pair]] += 1
     eps = 1e-9
     directed = []
     undirected = []
@@ -386,11 +372,9 @@ def majority_vote(
         ]
         if len(winners) == 1:
             directed.append(winners[0])
-            votes = rule_votes.get(pair, Counter())
-            if votes:
-                attribution[pair] = sorted(
-                    votes.items(), key=lambda kv: (-kv[1], kv[0])
-                )[0][0]
+            attribution[pair] = sorted(
+                rule_votes[pair].items(), key=lambda kv: (-kv[1], kv[0])
+            )[0][0]
         else:
             undirected.append(pair)
     return LearnedPattern(

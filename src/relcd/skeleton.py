@@ -429,7 +429,14 @@ def load_skeleton(schema: Schema, manifest_path: str | Path) -> Skeleton:
     """Read a skeleton (and any attribute values) from the CSV contract."""
     manifest_path = Path(manifest_path)
     doc = json.loads(manifest_path.read_text())
-    files = doc["files"]
+    files = doc.get("files") if isinstance(doc, dict) else None
+    if not isinstance(files, dict) or not all(
+        isinstance(cls, str) and isinstance(name, str) for cls, name in files.items()
+    ):
+        raise ValueError(
+            f"malformed manifest {manifest_path}: 'files' must map class names "
+            "to file names"
+        )
     base = manifest_path.parent
     instances: dict[str, tuple[str, ...]] = {}
     links: dict[str, tuple[tuple[str, str, str], ...]] = {}

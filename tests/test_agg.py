@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd.agg import (
-    DirectedSnapshot,
     agg_to_dot,
     build_agg,
     build_all,
@@ -232,7 +232,6 @@ def _check_every_small_query(agg):
     for a, b, directed in agg.edges():
         assert directed
         g.add_edge(agg.index[a], agg.index[b])
-    snap = DirectedSnapshot(agg)
     ids = range(len(agg.nodes))
     for x, y in itertools.combinations(ids, 2):
         rest = [i for i in ids if i not in (x, y)]
@@ -240,8 +239,8 @@ def _check_every_small_query(agg):
             itertools.combinations(rest, size) for size in range(3)
         ):
             theirs = nx.is_d_separator(g, {x}, {y}, set(z))
-            assert snap.d_separated(x, y, frozenset(z)) == theirs, (x, y, z)
-            assert snap.d_separated(y, x, frozenset(z)) == theirs, (y, x, z)
+            assert agg.d_separated(x, y, frozenset(z)) == theirs, (x, y, z)
+            assert agg.d_separated(y, x, frozenset(z)) == theirs, (y, x, z)
     return g
 
 
@@ -265,11 +264,10 @@ def test_snapshot_opens_a_collider_through_a_descendant_of_z():
     g = _check_every_small_query(agg)
     a, b, c, d = (agg.index[var(["E1"], name)] for name in "ABCD")
     assert sorted(g.edges) == sorted([(a, c), (b, c), (c, d)])
-    snap = DirectedSnapshot(agg)
-    assert snap.d_separated(a, b, frozenset())
-    assert not snap.d_separated(a, b, frozenset({d}))
-    assert not snap.d_separated(a, b, frozenset({c}))
-    assert snap.d_separated(a, d, frozenset({c}))
+    assert agg.d_separated(a, b, frozenset())
+    assert not agg.d_separated(a, b, frozenset({d}))
+    assert not agg.d_separated(a, b, frozenset({c}))
+    assert agg.d_separated(a, d, frozenset({c}))
 
 
 @given(
@@ -292,6 +290,45 @@ def test_oriented_agg_equals_build_all_then_orient(seed, num_entities, hops):
         assert mine.edge_pairs == theirs.edge_pairs
         assert mine.edges() == theirs.edges()
         assert mine.is_fully_directed()
+
+
+@given(
+    seed=st.integers(0, 1500), num_entities=st.integers(1, 3), hops=st.integers(2, 5)
+)
+@settings(max_examples=25, deadline=None)
+def test_edge_direction_follows_first_oriented_pair(seed, num_entities, hops):
+    # orient a random sequence drawn from dependencies and their reverses,
+    # so some orientations are refused as own-pair or sibling conflicts;
+    # every edge must then point as its first oriented pair in the registry
+    schema = random_schema(seed, num_entities)
+    try:
+        model = random_model(schema, 1 + seed % 5, seed=seed, restarts=20)
+    except Infeasible:
+        return
+    candidates = sorted(
+        {*model.dependencies, *potential_dependencies(schema, 2)}, key=str
+    )
+    agg_set = build_all(candidates, schema, hops)
+    pick = random.Random(seed)
+    sequence = [*model.dependencies, *map(reverse_dependency, model.dependencies)]
+    sequence += pick.sample(candidates, len(candidates) // 2)
+    pick.shuffle(sequence)
+    for d in sequence:
+        orient(agg_set, d, rule="CD")
+    for agg in agg_set.aggs.values():
+        for i, j in agg.edge_pairs:
+            oriented = [agg_set.registry[p] for p in agg.pairs_of(i, j)]
+            first = next((d for d in oriented if d is not None), None)
+            if first is None:
+                expected = None
+            elif (agg.nodes[i].attribute, agg.nodes[i].path.last) == (
+                first.cause.attribute, first.cause.path.last
+            ):
+                expected = (i, j)
+            else:
+                expected = (j, i)
+            assert agg.edge_direction(i, j) == expected
+            assert agg.edge_direction(j, i) == expected
 
 
 def _reference_edge_pairs(agg, dependencies, schema, hops):

@@ -112,7 +112,7 @@ def test_oracle_symmetry(seed):
     except Infeasible:
         return
     backend = OracleCI(model, hops=6)
-    snap_vars = sorted(backend._snapshot(schema.entities[0].name).index, key=str)
+    snap_vars = sorted(backend._agg(schema.entities[0].name).index, key=str)
     if len(snap_vars) < 3:
         return
     x, y, z = snap_vars[0], snap_vars[1], snap_vars[2]

@@ -398,6 +398,33 @@ def test_invalid_schema_exits_2(tmp_path):
     assert run(["gen", "model", "--schema", bad, "--deps", 1]) == 2
 
 
+@pytest.mark.parametrize(
+    ("doc", "detail"),
+    [({"dependencies": []}, "'schema'"), ([1], "list indices")],
+    ids=["no-schema", "not-an-object"],
+)
+def test_malformed_model_exits_2(tmp_path, capsys, movie_files, doc, detail):
+    schema_path, _ = movie_files
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["learn", "--schema", schema_path, "--model", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed model document: ") and detail in err
+
+
+@pytest.mark.parametrize(
+    "doc", [{}, {"files": ["e1.csv"]}, {"files": {"E1": 1}}],
+    ids=["no-files", "files-list", "non-string-name"],
+)
+def test_malformed_manifest_exits_2(seed7_files, capsys, doc):
+    schema_path, skel_dir = seed7_files
+    (skel_dir / "manifest.json").write_text(json.dumps(doc))
+    assert _learn_data(schema_path, skel_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest ")
+    assert "'files' must map class names to file names" in err
+
+
 def test_infeasible_model_exits_3(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(

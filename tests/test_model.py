@@ -8,6 +8,7 @@ from relcd.model import (
     RelationalModel,
     canonical_pair,
     is_canonical,
+    model_from_dict,
     model_from_json,
     model_to_json,
     parse_dependency,
@@ -235,3 +236,18 @@ def test_canonical_pair_representative():
 
 def test_model_json_round_trip(movie_truth):
     assert model_from_json(model_to_json(movie_truth)) == movie_truth
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dependencies": []},
+        [1],
+        "model",
+        {"schema": {"entities": []}, "dependencies": [1]},
+        {"schema": {"entities": []}, "dependencies": 3},
+    ],
+)
+def test_model_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError, match="malformed model document"):
+        model_from_dict(doc)

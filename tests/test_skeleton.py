@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -410,4 +412,16 @@ def test_load_missing_file(movie_schema, tmp_path):
     manifest = save_skeleton(skel, tmp_path)
     (tmp_path / "actor.csv").unlink()
     with pytest.raises(ValueError, match="missing"):
+        load_skeleton(movie_schema, manifest)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], {"files": None}, {"files": ["actor.csv"]}, {"files": {"ACTOR": 3}}],
+)
+def test_load_rejects_malformed_manifest(movie_schema, tmp_path, doc):
+    skel = random_skeleton(movie_schema, {"ACTOR": 3, "MOVIE": 3}, 1.0, seed=0)
+    manifest = save_skeleton(skel, tmp_path)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed manifest"):
         load_skeleton(movie_schema, manifest)

@@ -6,7 +6,6 @@ from .agg import (
     agg_to_dot,
     build_agg,
     build_all,
-    d_separated,
     orient,
     unshielded_triples,
 )
@@ -21,7 +20,6 @@ from .errors import Infeasible
 from .harness import (
     TrialConfig,
     TrialMetrics,
-    brute_force_pattern,
     run_bench,
     score,
 )
@@ -43,7 +41,6 @@ from .paths import (
     RelationalPath,
     cardinality,
     enumerate_paths,
-    extend,
     is_valid,
     parse_path,
     reverse,
@@ -73,13 +70,11 @@ from .schema import (
 from .skeleton import (
     GroundGraph,
     Skeleton,
-    dsep_ground,
     ground_graph,
     load_skeleton,
     random_skeleton,
     sample_data,
     save_skeleton,
-    terminal_set,
 )
 
 __version__ = "0.1.0"

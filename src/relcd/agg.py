@@ -12,8 +12,7 @@ every graph at once, as bits in the graph's ``parents`` and ``children``
 id bitmasks.
 
 A fully directed graph answers d-separation itself (``Agg.d_separated``),
-by Bayes-ball over those masks; the oracle backend and ``d_separated`` both
-query it.
+by Bayes-ball over those masks; the oracle backend queries it.
 """
 
 from __future__ import annotations
@@ -103,11 +102,6 @@ class Agg:
         nodes = self.nodes
         return [(nodes[a], nodes[b], directed) for a, b, directed in sorted(out)]
 
-    def is_fully_directed(self) -> bool:
-        return all(
-            (self.parents[i] | self.children[i]) >> j & 1 for i, j in self.edge_pairs
-        )
-
     def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
         """Whether no active trail joins node x to node y given nodes z.
 
@@ -171,9 +165,10 @@ def build_agg(
 
     Nodes are the attribute-bearing relational variables within the hop
     bound. For a dependency with effect class C, every node whose path ends
-    at C gains an edge from each composition of its path with the cause
-    path that stays within the bound (``paths.extend``), found by looking
-    each candidate up among the nodes: they hold every valid path in bound.
+    at C gains an edge from each valid composition of its path with the
+    cause path that stays within the bound, found by looking each candidate
+    (``paths.compositions``) up among the nodes: they hold every valid path
+    in bound.
     """
     deps = sorted(set(dependencies), key=str)
     for dep in deps:
@@ -292,24 +287,6 @@ def unshielded_triples(agg: Agg):
                 if not agg.is_adjacent(x, z):
                     out.append((x, y, z))
     return out
-
-
-def d_separated(agg: Agg, x: set, y: set, z: set) -> bool:
-    """Standard d-separation on a fully directed lifted graph.
-
-    Sets are d-separated exactly when every pair drawn from x and y is, so
-    the kernel answers pair by pair.
-    """
-    for v in (*x, *y, *z):
-        if v not in agg.index:
-            raise ValueError(f"{v} is not a node of the {agg.perspective} graph")
-    if (x & y) or (x & z) or (y & z):
-        raise ValueError("query sets must be disjoint")
-    if not agg.is_fully_directed():
-        raise ValueError("graph has undirected edges; orient all dependencies first")
-    index = agg.index
-    zi = frozenset(index[v] for v in z)
-    return all(agg.d_separated(index[a], index[b], zi) for a in x for b in y)
 
 
 def agg_to_dot(agg: Agg) -> str:

@@ -39,12 +39,22 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+def _read(path: str, flag: str, parse):
+    """Parse the file a flag names, naming both if it is unreadable or not JSON."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {flag} file {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{flag} file {path} is not valid JSON: {exc}") from exc
+
+
 def _read_schema(path: str):
-    return schema_from_json(Path(path).read_text())
+    return _read(path, "--schema", schema_from_json)
 
 
 def _read_model(path: str):
-    return model_from_json(Path(path).read_text())
+    return _read(path, "--model", model_from_json)
 
 
 def _json_dump(doc) -> str:
@@ -77,7 +87,10 @@ def cmd_gen_skeleton(args) -> None:
         name = name.strip()
         if name in sizes:
             raise ValueError(f"size for {name!r} given twice")
-        sizes[name] = int(count)
+        try:
+            sizes[name] = int(count)
+        except ValueError:
+            raise ValueError(f"--sizes entry {part!r} is not NAME=COUNT (an integer)") from None
     skeleton = random_skeleton(schema, sizes, link_density=args.density, seed=args.seed)
     if args.model:
         model = _read_model(args.model)
@@ -96,7 +109,12 @@ def cmd_learn(args) -> None:
     if not 0 < args.vote_threshold <= 1:
         raise ValueError("--vote-threshold must lie in (0, 1]")
     if args.model:
-        backend = OracleCI(_read_model(args.model), hops=args.oracle_hops)
+        model = _read_model(args.model)
+        if model.schema != schema:
+            raise ValueError(
+                f"the schema of --model {args.model} differs from --schema {args.schema}"
+            )
+        backend = OracleCI(model, hops=args.oracle_hops)
     else:
         skeleton = load_skeleton(schema, args.data)
         backend = RegressionCI(

@@ -1,4 +1,4 @@
-"""Synthetic benchmark driver, scoring, and verification oracles.
+"""Synthetic benchmark driver and scoring.
 
 Trials draw a random schema and model per cell of a (num_entities,
 num_deps) grid, learn with the exact oracle backend, and score the learned
@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 
@@ -297,78 +295,3 @@ def run_bench(
     """
     results, notes = run_trials(config, rbo_order=rbo_order, workers=workers)
     return aggregate_cells(results), notes
-
-
-def _dsep_facts(variables: tuple[str, ...], edges) -> frozenset | None:
-    """Every (a, b, z) with a, b d-separated given z; None for a cyclic graph."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(variables)
-    g.add_edges_from(edges)
-    if not nx.is_directed_acyclic_graph(g):
-        return None
-    facts = set()
-    for a, b in combinations(variables, 2):
-        rest = [v for v in variables if v not in (a, b)]
-        for size in range(len(rest) + 1):
-            for z in combinations(rest, size):
-                if nx.is_d_separator(g, {a}, {b}, set(z)):
-                    facts.add((a, b, frozenset(z)))
-    return frozenset(facts)
-
-
-@lru_cache(maxsize=8)
-def _propositional_dag_classes(variables: tuple[str, ...]):
-    """All DAGs over the variables, grouped by their d-separation facts."""
-    pairs = list(combinations(variables, 2))
-    classes: dict[frozenset, list[frozenset]] = {}
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        edges = []
-        for (a, b), kind in zip(pairs, assignment):
-            if kind == 1:
-                edges.append((a, b))
-            elif kind == 2:
-                edges.append((b, a))
-        facts = _dsep_facts(variables, edges)
-        if facts is not None:
-            classes.setdefault(facts, []).append(frozenset(edges))
-    return classes
-
-
-def brute_force_pattern(schema: Schema, truth: RelationalModel) -> dict:
-    """Exhaustive equivalence-class pattern for a single-entity truth.
-
-    Enumerates every DAG over the entity's attributes, groups them by their
-    full set of d-separation facts, and reports which edges of the truth's
-    class are compelled (same direction everywhere) versus reversible.
-    """
-    if len(schema.entities) != 1 or schema.relationships:
-        raise ValueError("brute force pattern is propositional only")
-    variables = tuple(sorted(schema.entities[0].attributes))
-    if len(variables) > 4:
-        raise ValueError("too many variables for exhaustive enumeration")
-    true_edges = frozenset(
-        (d.cause.attribute, d.effect.attribute) for d in truth.dependencies
-    )
-    members = _propositional_dag_classes(variables)[_dsep_facts(variables, true_edges)]
-    directed = set()
-    undirected = set()
-    for a, b in true_edges:
-        if all((a, b) in m for m in members):
-            directed.add((a, b))
-        else:
-            undirected.add(frozenset((a, b)))
-    return {"directed": frozenset(directed), "undirected": frozenset(undirected)}
-
-
-def propositional_pattern(learned: LearnedPattern) -> dict:
-    """Map a single-entity learned pattern onto bare attribute pairs."""
-    directed = frozenset(
-        (d.cause.attribute, d.effect.attribute) for d in learned.directed
-    )
-    undirected = frozenset(
-        frozenset((pair.cause.attribute, pair.effect.attribute))
-        for pair in learned.undirected
-    )
-    return {"directed": directed, "undirected": undirected}

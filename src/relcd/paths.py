@@ -157,22 +157,3 @@ def compositions(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ...]
     while run < min(len(a), len(b)) and a[-1 - run] == b[run]:
         run += 1
     return [a[: len(a) - m] + b[m - 1 :] for m in range(run, 0, -1)]
-
-
-def extend(
-    p_orig: RelationalPath,
-    p_ext: RelationalPath,
-    schema: Schema,
-    max_length: int,
-) -> list[RelationalPath]:
-    """The valid ``compositions`` of two paths of at most ``max_length`` items.
-
-    The paths must share a join class; results are sorted by length.
-    """
-    if p_orig.last != p_ext.perspective:
-        raise ValueError(
-            f"join point mismatch: {p_orig} does not end where {p_ext} starts"
-        )
-    candidates = compositions(p_orig.items, p_ext.items)
-    paths = [RelationalPath(c) for c in candidates if len(c) <= max_length]
-    return [p for p in paths if is_valid(p, schema)]

@@ -8,8 +8,6 @@ linear-Gaussian data can be sampled.
 ``terminal_sets`` follows a relational path from every perspective instance
 at once, as boolean products of the skeleton's sparse hop incidence
 matrices; the regression backend and ``ground_graph`` use it.
-``terminal_set`` walks one instance with Python sets and is the reference
-that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -54,20 +52,6 @@ class Skeleton:
             "links",
             {r.name: tuple(sorted(self.links.get(r.name, ()))) for r in self.schema.relationships},
         )
-        incident: dict[tuple[str, str, str], list[str]] = {}
-        ends: dict[tuple[str, str], tuple[str, str]] = {}
-        for rel_name, rel_links in self.links.items():
-            rel = self.schema.item_classes[rel_name]
-            for link_id, e1, e2 in rel_links:
-                ends[(rel_name, link_id)] = (e1, e2)
-                incident.setdefault((rel_name, rel.participants[0], e1), []).append(
-                    link_id
-                )
-                incident.setdefault((rel_name, rel.participants[1], e2), []).append(
-                    link_id
-                )
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_ends", ends)
         # instance id -> row/column position in the hop matrices
         object.__setattr__(
             self,
@@ -147,46 +131,15 @@ class Skeleton:
         return out
 
 
-def terminal_set(skeleton: Skeleton, path: RelationalPath, start: str) -> set[str]:
-    """Instances of the path's final class reached from ``start``.
-
-    Frontiers are built hop by hop; instances of a class already visited at
-    an earlier step of the same path are excluded, so traversals never fold
-    back onto where they came from.
-    """
-    schema = skeleton.schema
-    if start not in skeleton._positions[path.perspective]:  # noqa: SLF001
-        raise ValueError(
-            f"{start!r} is not an instance of perspective class {path.perspective!r}"
-        )
-    incident = skeleton._incident  # noqa: SLF001 - internal index
-    ends = skeleton._ends  # noqa: SLF001
-    frontier = {start}
-    burned: dict[str, set[str]] = {path.perspective: {start}}
-    for prev_cls, cls in zip(path.items, path.items[1:]):
-        nxt: set[str] = set()
-        if schema.is_entity(prev_cls):
-            for inst in frontier:
-                nxt.update(incident.get((cls, prev_cls, inst), ()))
-        else:
-            rel = schema.item_classes[prev_cls]
-            side = rel.participants.index(cls)
-            for link in frontier:
-                nxt.add(ends[(prev_cls, link)][side])
-        nxt -= burned.get(cls, set())
-        burned.setdefault(cls, set()).update(nxt)
-        frontier = nxt
-    return frontier
-
-
 def terminal_sets(skeleton: Skeleton, path: RelationalPath) -> sparse.csr_array:
     """Terminal sets of every perspective instance at once.
 
-    Row ``i`` marks the instances of ``path.last`` that ``terminal_set``
-    reaches from the ``i``-th instance of ``path.perspective``; rows and
-    columns follow ``instances_of`` order, which is sorted. Each hop is a
-    boolean product with the hop's incidence matrix, masked by what each
-    row has already visited of the class it lands on.
+    Row ``i`` marks the instances of ``path.last`` reached from the ``i``-th
+    instance of ``path.perspective``; rows and columns follow
+    ``instances_of`` order, which is sorted. Each hop is a boolean product
+    with the hop's incidence matrix, masked by what each row has already
+    visited of the class it lands on, so traversals never fold back onto
+    where they came from.
     """
     n = len(skeleton._positions[path.perspective])  # noqa: SLF001
     frontier = sparse.csr_array(sparse.identity(n, dtype=bool))
@@ -291,22 +244,6 @@ class GroundGraph:
                 out.update((parent, child) for parent in group)
         return sorted(out)
 
-    def to_networkx(self):
-        import networkx as nx
-
-        g = getattr(self, "_nx_cache", None)
-        if g is None:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.nodes)
-            g.add_edges_from(self.edges())
-            object.__setattr__(self, "_nx_cache", g)
-        return g
-
-    def is_acyclic(self) -> bool:
-        import networkx as nx
-
-        return nx.is_directed_acyclic_graph(self.to_networkx())
-
 
 def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
     """Instantiate every dependency for every effect-class instance."""
@@ -377,15 +314,6 @@ def sample_data(
     return values
 
 
-def dsep_ground(gg: GroundGraph, x: set[Node], y: set[Node], z: set[Node]) -> bool:
-    """Standard d-separation on the instantiated graph (verification oracle)."""
-    import networkx as nx
-
-    if (x & y) or (x & z) or (y & z):
-        raise ValueError("query sets must be disjoint")
-    return nx.is_d_separator(gg.to_networkx(), x, y, z)
-
-
 def save_skeleton(skeleton: Skeleton, directory: str | Path) -> Path:
     """Write one CSV per item class plus a manifest naming each file."""
     directory = Path(directory)
@@ -428,7 +356,12 @@ def save_skeleton(skeleton: Skeleton, directory: str | Path) -> Path:
 def load_skeleton(schema: Schema, manifest_path: str | Path) -> Skeleton:
     """Read a skeleton (and any attribute values) from the CSV contract."""
     manifest_path = Path(manifest_path)
-    doc = json.loads(manifest_path.read_text())
+    try:
+        doc = json.loads(manifest_path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read manifest {manifest_path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     files = doc.get("files") if isinstance(doc, dict) else None
     if not isinstance(files, dict) or not all(
         isinstance(cls, str) and isinstance(name, str) for cls, name in files.items()

@@ -6,9 +6,8 @@ them all). Tolerances are fixed here, not tuned at runtime.
 
 import json
 import time
-from itertools import combinations, product
+from itertools import product
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -16,13 +15,7 @@ from relcd.agg import build_all, orient, unshielded_triples
 from relcd.ci import OracleCI, RegressionCI, oriented_agg
 from relcd.cli import main as cli_main
 from relcd.errors import Infeasible
-from relcd.harness import (
-    TrialConfig,
-    brute_force_pattern,
-    propositional_pattern,
-    run_bench,
-    run_trials,
-)
+from relcd.harness import TrialConfig, run_bench, run_trials
 from relcd.model import (
     RelationalDependency,
     RelationalModel,
@@ -35,14 +28,15 @@ from relcd.model import (
 from relcd.paths import RelationalPath
 from relcd.rcd import LearnConfig, majority_vote, rcd_learn
 from relcd.schema import Cardinality, random_schema, schema_to_json
-from relcd.skeleton import (
+from relcd.skeleton import ground_graph, random_skeleton, sample_data
+from tests.conftest import propositional_model, single_entity_schema
+from tests.reference import (
+    brute_force_pattern,
+    dags,
     dsep_ground,
-    ground_graph,
-    random_skeleton,
-    sample_data,
+    propositional_pattern,
     terminal_set,
 )
-from tests.conftest import propositional_model, single_entity_schema
 
 pytestmark = pytest.mark.acceptance
 
@@ -173,18 +167,7 @@ def test_criterion_5_propositional_completeness():
     for m in (1, 2, 3, 4):
         variables = tuple(f"X{i}" for i in range(m))
         schema = single_entity_schema(*variables)
-        pairs = list(combinations(variables, 2))
-        for assignment in product((0, 1, 2), repeat=len(pairs)):
-            edges = [
-                (a, b) if kind == 1 else (b, a)
-                for (a, b), kind in zip(pairs, assignment)
-                if kind
-            ]
-            g = nx.DiGraph()
-            g.add_nodes_from(variables)
-            g.add_edges_from(edges)
-            if not nx.is_directed_acyclic_graph(g):
-                continue
+        for edges in dags(variables):
             total += 1
             truth = propositional_model(schema, edges)
             learned = rcd_learn(schema, OracleCI(truth, 8), LearnConfig())

@@ -24,14 +24,9 @@ from relcd.errors import Infeasible
 from relcd.model import RelationalVariable, random_model
 from relcd.paths import enumerate_paths
 from relcd.schema import AttributeClass, random_schema, schema_to_json
-from relcd.skeleton import (
-    ground_graph,
-    random_skeleton,
-    sample_data,
-    save_skeleton,
-    terminal_set,
-)
+from relcd.skeleton import ground_graph, random_skeleton, sample_data, save_skeleton
 from tests.conftest import CountingCI, propositional_model, single_entity_schema, var
+from tests.reference import digraph, terminal_set
 
 
 POP = var(["ACTOR"], "Popularity")
@@ -134,10 +129,9 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
     except Infeasible:
         return
     backend = OracleCI(model, hops=8)
-    g = nx.DiGraph()
-    g.add_nodes_from(schema.attribute_classes())
-    g.add_edges_from(
-        (d.cause.attribute_class, d.effect.attribute_class) for d in model.dependencies
+    g = digraph(
+        schema.attribute_classes(),
+        ((d.cause.attribute_class, d.effect.attribute_class) for d in model.dependencies),
     )
     entity = schema.entities[0].name
     a, b = attrs[0], attrs[1]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -149,6 +150,18 @@ def test_gen_skeleton_rejects_bad_density(tmp_path, capsys, movie_files, density
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: link_density must be finite and > 0\n"
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    ("sizes", "entry"),
+    [("ACTOR", "ACTOR"), ("ACTOR=x,MOVIE=5", "ACTOR=x"), ("ACTOR=5,MOVIE=", "MOVIE=")],
+)
+def test_gen_skeleton_names_a_malformed_sizes_entry(tmp_path, capsys, movie_files, sizes, entry):
+    schema_path, _ = movie_files
+    argv = ["gen", "skeleton", "--schema", schema_path, "--sizes", sizes, "-o", tmp_path / "s"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --sizes entry {entry!r} is not NAME=COUNT (an integer)\n"
 
 
 @pytest.mark.parametrize(
@@ -425,6 +438,31 @@ def test_malformed_manifest_exits_2(seed7_files, capsys, doc):
     assert "'files' must map class names to file names" in err
 
 
+@pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not-json"])
+@pytest.mark.parametrize("flag", ["--schema", "--model", "--data"])
+def test_unreadable_input_file_is_named(tmp_path, capsys, seed7_files, flag, content):
+    schema_path, _ = seed7_files
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    files = {"--schema": schema_path, "--model": tmp_path / "model.json", flag: bad}
+    backend = "--data" if flag == "--data" else "--model"
+    assert run(["learn", "--schema", files["--schema"], backend, files[backend]]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert ("cannot read" if content is None else "is not valid JSON") in err
+
+
+def test_learn_rejects_a_model_over_another_schema(tmp_path, capsys, movie_files):
+    _, model_path = movie_files
+    other = tmp_path / "other.json"
+    assert run(["gen", "schema", "--entities", 3, "--seed", 7, "-o", other]) == 0
+    assert run(["learn", "--schema", other, "--model", model_path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the schema of --model {model_path} differs from --schema {other}\n"
+    )
+
+
 def test_infeasible_model_exits_3(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text(
@@ -522,6 +560,19 @@ def test_import_leaves_networkx_unloaded():
     code = "import sys, relcd, relcd.cli; sys.exit('networkx' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=_python_env())
     assert done.returncode == 0
+
+
+def test_relcd_never_imports_networkx():
+    # at module level or inside a function: networkx is a test dependency
+    for module in sorted(Path(relcd.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "networkx" for n in names), module.name
 
 
 def test_movie_demo_script():

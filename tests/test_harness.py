@@ -7,9 +7,7 @@ from relcd.harness import (
     TrialConfig,
     aggregate_cells,
     bench_to_csv,
-    brute_force_pattern,
     generate_case,
-    propositional_pattern,
     run_bench,
     run_trials,
     score,
@@ -17,6 +15,7 @@ from relcd.harness import (
 from relcd.model import RelationalModel, reverse_dependency
 from relcd.rcd import LearnConfig, rcd_learn
 from tests.conftest import propositional_model, single_entity_schema
+from tests.reference import brute_force_pattern, propositional_pattern
 
 
 def test_score_perfect(movie_truth):

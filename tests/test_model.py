@@ -1,4 +1,3 @@
-import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +18,7 @@ from relcd.model import (
 )
 from relcd.schema import random_schema
 from tests.conftest import dep, single_entity_schema, var
+from tests.reference import is_dag
 
 
 def test_is_canonical():
@@ -89,11 +89,7 @@ def test_single_entity_potentials_are_propositional(seed):
 
 def _class_graph_is_dag(deps):
     """Reference: networkx's verdict on the attribute-class graph."""
-    g = nx.DiGraph()
-    g.add_edges_from(
-        (d.cause.attribute_class, d.effect.attribute_class) for d in deps
-    )
-    return nx.is_directed_acyclic_graph(g)
+    return is_dag((), ((d.cause.attribute_class, d.effect.attribute_class) for d in deps))
 
 
 def test_cyclic_model_rejected():

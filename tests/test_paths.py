@@ -6,13 +6,13 @@ from relcd.paths import (
     RelationalPath,
     cardinality,
     enumerate_paths,
-    extend,
     is_valid,
     parse_path,
     path,
     reverse,
 )
 from relcd.schema import Cardinality, random_schema
+from tests.reference import extend
 
 
 def test_costar_path_valid(movie_schema):

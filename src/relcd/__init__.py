@@ -13,6 +13,7 @@ from .ci import (
     OracleCI,
     RegressionCI,
     SepsetStore,
+    ask,
     find_sepset,
     oriented_agg,
 )

@@ -1,8 +1,9 @@
 """Per-perspective lifted dependency graphs with shared orientation state.
 
 Each perspective gets a graph over the relational variables reachable from
-it, interned once as integer ids in ``variable_key`` order: adjacency,
-edges, triples and the orientation rules work on ids, so sorting ids sorts
+it, interned as integer ids in ``variable_key`` order by ``node_table``,
+once per (schema, perspective, hops): adjacency, edges, triples, the
+orientation rules and CI queries work on those ids, so sorting ids sorts
 variables canonically. A single canonical dependency can support many edges
 within and across these graphs: every edge carries the unordered dependency
 pairs that produced it, and each graph knows the edges of each pair. A
@@ -18,6 +19,7 @@ by Bayes-ball over those masks; the oracle backend queries it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .model import (
     RelationalDependency,
@@ -33,11 +35,54 @@ Registry = dict  # canonical pair -> oriented RelationalDependency | None
 
 
 @dataclass(frozen=True)
-class Agg:
-    """One perspective's lifted graph, over integer node ids.
+class NodeTable:
+    """One perspective's variables, interned as integer ids.
 
-    ``nodes`` holds the perspective's variables in ``variable_key`` order;
-    a variable's id is its position there, and ``index`` maps it back.
+    ``nodes`` holds the variables in ``variable_key`` order; a variable's id
+    is its position there, and ``index`` maps it back. A set of ids is an
+    ``int`` bitmask. ``node_table`` shares tables, so none changes once made.
+    """
+
+    perspective: str
+    nodes: tuple[RelationalVariable, ...]
+    index: dict[RelationalVariable, int]
+
+    @classmethod
+    def of(cls, perspective: str, variables) -> NodeTable:
+        nodes = tuple(sorted(set(variables), key=variable_key))
+        return cls(perspective, nodes, {v: i for i, v in enumerate(nodes)})
+
+
+@lru_cache(maxsize=64)
+def node_table(schema: Schema, perspective: str, hops: int) -> NodeTable:
+    """The attribute-bearing variables within ``hops`` of a perspective.
+
+    Cached: a learner's phases and an oracle at the same hops share ids.
+    """
+    return NodeTable.of(
+        perspective,
+        (
+            RelationalVariable(p, attr)
+            for p in enumerate_paths(schema, perspective, hops)
+            for attr in schema.attributes_of(p.last)
+        ),
+    )
+
+
+def bits(mask: int) -> list[int]:
+    """The ids set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@dataclass(frozen=True)
+class Agg(NodeTable):
+    """One perspective's lifted graph, over the ids of its node table.
+
     ``adjacency[i]`` is the set of ids adjacent to node ``i``, and
     ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the dependency
     pairs that support it; ``pair_edges`` maps each pair back to its edges.
@@ -50,9 +95,6 @@ class Agg:
     undirected.
     """
 
-    perspective: str
-    nodes: tuple[RelationalVariable, ...]
-    index: dict[RelationalVariable, int]
     adjacency: tuple[frozenset[int], ...]
     edge_pairs: dict[tuple[int, int], tuple[RelationalDependency, ...]]
     pair_edges: dict[RelationalDependency, tuple[tuple[int, int], ...]]
@@ -102,8 +144,8 @@ class Agg:
         nodes = self.nodes
         return [(nodes[a], nodes[b], directed) for a, b, directed in sorted(out)]
 
-    def d_separated(self, x: int, y: int, z: frozenset[int]) -> bool:
-        """Whether no active trail joins node x to node y given nodes z.
+    def d_separated(self, x: int, y: int, in_z: int) -> bool:
+        """Whether no active trail joins node x to node y given the id mask Z.
 
         Reads a fully directed graph. Bayes-ball (Shachter 1998), one
         frontier level at a time: ``up`` holds nodes the ball reached from a
@@ -114,9 +156,6 @@ class Agg:
         anc(Z) is never built.
         """
         parents, children = self.parents, self.children
-        in_z = 0
-        for i in z:
-            in_z |= 1 << i
         free, target = ~in_z, 1 << y
         up, down = 1 << x, 0
         seen_up = seen_down = 0
@@ -173,31 +212,21 @@ def build_agg(
     deps = sorted(set(dependencies), key=str)
     for dep in deps:
         validate_dependency(dep, schema)
-    paths = enumerate_paths(schema, perspective, node_hops)
-    by_last: dict[str, list] = {}
-    for p in paths:
-        by_last.setdefault(p.last, []).append(p)
-    nodes = tuple(
-        sorted(
-            {
-                RelationalVariable(p, attr)
-                for p in paths
-                for attr in schema.attributes_of(p.last)
-            },
-            key=variable_key,
-        )
-    )
-    index = {v: i for i, v in enumerate(nodes)}
+    table = node_table(schema, perspective, node_hops)
+    nodes = table.nodes
     by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
+    # the nodes of each attribute class, as (path items, id)
+    by_class: dict[tuple[str, str], list[tuple[tuple[str, ...], int]]] = {}
+    for (items, attr), i in by_key.items():
+        by_class.setdefault((items[-1], attr), []).append((items, i))
     supports: dict[tuple[int, int], set[RelationalDependency]] = {}
     pair_edges: dict[RelationalDependency, set[tuple[int, int]]] = {}
     adjacency: list[set[int]] = [set() for _ in nodes]
     for dep in deps:
-        effect_cls = dep.effect.path.last
         pair = canonical_pair(dep)
-        for q in by_last.get(effect_cls, ()):
-            v = by_key[(q.items, dep.effect.attribute)]
-            for items in compositions(q.items, dep.cause.path.items):
+        effect = (dep.effect.path.last, dep.effect.attribute)
+        for q, v in by_class.get(effect, ()):
+            for items in compositions(q, dep.cause.path.items):
                 u = by_key.get((items, dep.cause.attribute))
                 if u is not None:
                     edge = (min(u, v), max(u, v))
@@ -208,7 +237,7 @@ def build_agg(
     return Agg(
         perspective=perspective,
         nodes=nodes,
-        index=index,
+        index=table.index,
         adjacency=tuple(frozenset(n) for n in adjacency),
         edge_pairs={k: tuple(sorted(p, key=str)) for k, p in supports.items()},
         pair_edges={p: tuple(sorted(e)) for p, e in pair_edges.items()},

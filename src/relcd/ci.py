@@ -1,12 +1,16 @@
-"""Conditional-independence backends behind one query interface.
+"""Conditional-independence backends behind one query interface, by node id.
 
-Every backend answers ``independent(x, y, cond=frozenset())``: are the
-relational variables x and y independent given the set ``cond``? The
-query's perspective is ``x.perspective``. A backend checks the query
-(``check_query``) when it computes a verdict, so a memoized verdict is not
-checked again. The oracle checks by node id: a variable it finds in the
-perspective's graph belongs to that perspective, so only a repeated id
-(x equal to y, or x or y in ``cond``) is left to refuse.
+Every backend answers ``independent(table, x, y, z=0)``: are the variables
+with ids x and y in the node table ``table`` (``agg.NodeTable``, one
+perspective's variables in ``variable_key`` order) independent given those
+whose ids are set in the bitmask z? The learner asks only this way, with the
+tables ``node_table`` interns at twice its hop threshold: phase I, the lifted
+graphs (an ``Agg`` is a table), ``find_sepset`` and an oracle at the same
+hops share their ids. ``ask(backend, x, y, cond)`` is the one entry point by
+variable (``relcd dsep``, tests): it checks the query (``check_query``) and
+asks by the ids of a table of its own variables. A table holds only its
+perspective's variables, so a backend checks a query only when it repeats
+an id (x equal to y, or x or y in z), on a memo miss.
 
 The exact oracle asks the fully directed lifted graphs of a known model
 (``oriented_agg``) for d-separation; the regression test averages each
@@ -24,13 +28,8 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse, special
 
-from .agg import Agg, build_agg
-from .model import (
-    RelationalModel,
-    RelationalVariable,
-    canonical_pair,
-    variable_key,
-)
+from .agg import Agg, NodeTable, bits, build_agg
+from .model import RelationalModel, RelationalVariable, canonical_pair
 from .paths import RelationalPath, is_valid
 from .skeleton import Skeleton, terminal_sets
 
@@ -52,23 +51,16 @@ def check_query(
 
 
 class SepsetStore:
-    """First recorded separating set per unordered variable pair."""
+    """First separating set (an id mask) per unordered id pair of a perspective."""
 
     def __init__(self):
-        self._sets: dict[frozenset, frozenset] = {}
+        self._sets: dict[tuple[str, int, int], int] = {}
 
-    def record(
-        self,
-        x: RelationalVariable,
-        y: RelationalVariable,
-        sepset: frozenset,
-    ) -> None:
-        self._sets.setdefault(frozenset((x, y)), frozenset(sepset))
+    def record(self, perspective: str, x: int, y: int, sepset: int) -> None:
+        self._sets.setdefault((perspective, min(x, y), max(x, y)), sepset)
 
-    def get(
-        self, x: RelationalVariable, y: RelationalVariable
-    ) -> frozenset | None:
-        return self._sets.get(frozenset((x, y)))
+    def get(self, perspective: str, x: int, y: int) -> int | None:
+        return self._sets.get((perspective, min(x, y), max(x, y)))
 
     def __len__(self):
         return len(self._sets)
@@ -86,7 +78,9 @@ class OracleCI:
     """Exact relational d-separation over the true model's lifted graphs.
 
     One fully directed graph per perspective is built lazily at the oracle
-    hop threshold and cached; verdicts are memoized.
+    hop threshold and cached; verdicts are memoized on its ids. The ids of
+    another table than the graph's are translated by a remap list, kept per
+    perspective for the table last asked.
     """
 
     def __init__(self, model: RelationalModel, hops: int = 8):
@@ -95,6 +89,8 @@ class OracleCI:
         self.model = model
         self.hops = hops
         self._aggs: dict[str, Agg] = {}
+        # perspective -> (the last table's nodes, graph, remap or None)
+        self._remaps: dict[str, tuple] = {}
         self._memo: dict[tuple, bool] = {}
 
     def _agg(self, perspective: str) -> Agg:
@@ -105,29 +101,31 @@ class OracleCI:
             )
         return agg
 
-    def independent(
-        self,
-        x: RelationalVariable,
-        y: RelationalVariable,
-        cond: frozenset[RelationalVariable] = frozenset(),
-    ) -> bool:
-        perspective = x.perspective
-        agg = self._agg(perspective)
-        index = agg.index
-        try:
-            xi, yi = index[x], index[y]
-            zi = frozenset([index[c] for c in cond])
-        except KeyError as exc:
-            check_query(perspective, x, y, cond)
-            raise ValueError(self._unknown(exc.args[0])) from None
-        key = (perspective, min(xi, yi), max(xi, yi), zi)
+    def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:
+        perspective = table.perspective
+        remap = self._remaps.get(perspective)
+        if remap is None or remap[0] is not table.nodes:
+            agg = self._agg(perspective)
+            ids = None
+            if table.nodes is not agg.nodes:
+                ids = [agg.index.get(v, -1) for v in table.nodes]
+            remap = self._remaps[perspective] = (table.nodes, agg, ids)
+        _, agg, ids = remap
+        if ids is not None:
+            asked = [x, y, *bits(z)]
+            mapped = [ids[i] for i in asked]
+            if -1 in mapped:
+                nodes = [table.nodes[i] for i in asked]
+                check_query(perspective, nodes[0], nodes[1], frozenset(nodes[2:]))
+                raise ValueError(self._unknown(nodes[mapped.index(-1)]))
+            x, y, z = mapped[0], mapped[1], sum(1 << i for i in mapped[2:])
+        key = (perspective, x, y, z) if x < y else (perspective, y, x, z)
         verdict = self._memo.get(key)
         if verdict is None:
-            # every indexed variable belongs to the perspective, so only the
-            # overlap checks remain, and ids decide them
-            if xi == yi or xi in zi or yi in zi:
-                check_query(perspective, x, y, cond)
-            verdict = self._memo[key] = agg.d_separated(xi, yi, zi)
+            if x == y or (z >> x | z >> y) & 1:
+                cond = frozenset(agg.nodes[i] for i in bits(z))
+                check_query(perspective, agg.nodes[x], agg.nodes[y], cond)
+            verdict = self._memo[key] = agg.d_separated(x, y, z)
         return verdict
 
     def _unknown(self, v: RelationalVariable) -> str:
@@ -215,21 +213,18 @@ class RegressionCI:
         self._columns[var] = (col, ok)
         return col, ok
 
-    def independent(
-        self,
-        x: RelationalVariable,
-        y: RelationalVariable,
-        cond: frozenset[RelationalVariable] = frozenset(),
-    ) -> bool:
-        key = (x, y, cond)
+    def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:
+        nodes = table.nodes
+        # variables in query order, the conditioning set in variable_key order
+        key = (nodes[x], nodes[y], tuple([nodes[i] for i in bits(z)]))
         verdict = self._memo.get(key)
         if verdict is None:
-            check_query(x.perspective, x, y, cond)
-            verdict = self._memo[key] = self._test(x, y, cond)
+            if x == y or (z >> x | z >> y) & 1:
+                check_query(table.perspective, key[0], key[1], frozenset(key[2]))
+            verdict = self._memo[key] = self._test(*key)
         return verdict
 
     def _test(self, x, y, cond) -> bool:
-        cond = sorted(cond, key=variable_key)
         cols, masks = zip(*(self._column(v) for v in (x, y, *cond)))
         mask = np.logical_and.reduce(masks)
         n = int(mask.sum())
@@ -258,10 +253,25 @@ class RegressionCI:
         return not dependent
 
 
-def find_sepset(
+def ask(
     ci_backend,
     x: RelationalVariable,
     y: RelationalVariable,
+    cond: frozenset[RelationalVariable] = frozenset(),
+) -> bool:
+    """Check a query by variable, then ask it by the ids of its own table."""
+    check_query(x.perspective, x, y, cond)
+    table = NodeTable.of(x.perspective, (x, y, *cond))
+    index = table.index
+    z = sum(1 << index[v] for v in cond)
+    return ci_backend.independent(table, index[x], index[y], z)
+
+
+def find_sepset(
+    ci_backend,
+    table: NodeTable,
+    x: int,
+    y: int,
     candidate_pool,
     sizes: range,
     *,
@@ -269,26 +279,28 @@ def find_sepset(
     stats: Counter | None,
     label: str,
     rng: np.random.Generator | None,
-) -> frozenset | None:
+) -> int | None:
     """First separating set among pool subsets whose size lies in ``sizes``.
 
-    Subsets are tried by size, each size in canonical order (or in a per-run
-    permutation of the pool when ``rng`` is given); a found set is recorded
-    in the store. Sizes beyond the pool are skipped, and a search with no
-    size left returns None before it draws from ``rng``.
+    ``x``, ``y`` and the pool are ids of ``table``, and a set is an id
+    bitmask. Subsets are tried by size, each size in canonical (id) order, or
+    in a per-run permutation of the pool when ``rng`` is given; a found set
+    is recorded in the store. Sizes beyond the pool are skipped, and a search
+    with no size left returns None before it draws from ``rng``.
     """
-    pool = sorted(set(candidate_pool) - {x, y}, key=variable_key)
+    pool = sorted(set(candidate_pool) - {x, y})
     sizes = [size for size in sizes if size <= len(pool)]
     if not sizes:
         return None
     if rng is not None:
         rng.shuffle(pool)
+    masks = [1 << i for i in pool]
     for size in sizes:
-        for combo in combinations(pool, size):
-            cond = frozenset(combo)
+        for combo in combinations(masks, size):
+            z = sum(combo)
             if stats is not None:
                 stats[label] += 1
-            if ci_backend.independent(x, y, cond):
-                store.record(x, y, cond)
-                return cond
+            if ci_backend.independent(table, x, y, z):
+                store.record(table.perspective, x, y, z)
+                return z
     return None

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .agg import agg_to_dot
-from .ci import OracleCI, RegressionCI, check_query, oriented_agg
+from .ci import OracleCI, RegressionCI, ask, check_query, oriented_agg
 from .errors import Infeasible
 from .harness import (
     BENCH_COLUMNS,
@@ -158,7 +158,7 @@ def cmd_dsep(args) -> None:
     )
     x, y = parse_variable(args.x), parse_variable(args.y)
     check_query(args.perspective, x, y, given)
-    verdict = backend.independent(x, y, given)
+    verdict = ask(backend, x, y, given)
     sys.stdout.write("independent\n" if verdict else "dependent\n")
 
 

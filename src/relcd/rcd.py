@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agg import AggSet, build_all, orient, unshielded_triples
+from .agg import AggSet, build_all, node_table, orient, unshielded_triples
 from .ci import SepsetStore, find_sepset
 from .model import (
     RelationalDependency,
@@ -87,13 +87,20 @@ def phase1(
 
     A dependency and its reverse are removed together as soon as any
     conditioning set drawn from the current cause candidates of the effect
-    separates the pair; the witnessing set is recorded.
+    separates the pair; the witnessing set is recorded. Queries name
+    variables by id in the node tables that phase II lifts on, at twice the
+    hop threshold.
     """
     sepsets = SepsetStore()
     pds = potential_dependencies(schema, config.hop_threshold)
-    neighbors: dict[RelationalVariable, set[RelationalVariable]] = {}
+    hops = 2 * config.hop_threshold
+    tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
+    ids = {}  # dependency -> (table, cause id, effect id)
+    neighbors: dict[RelationalVariable, set[int]] = {}
     for dep in pds:
-        neighbors.setdefault(dep.effect, set()).add(dep.cause)
+        table = tables[dep.effect.perspective]
+        ids[dep] = (table, table.index[dep.cause], table.index[dep.effect])
+        neighbors.setdefault(dep.effect, set()).add(ids[dep][1])
     order = list(pds)
     if rng is not None:
         rng.shuffle(order)
@@ -102,17 +109,17 @@ def phase1(
         for dep in order:
             if dep not in live:
                 continue
-            x, y = dep.cause, dep.effect
+            table, x, y = ids[dep]
             sep = find_sepset(
-                ci_backend, x, y, neighbors[y], range(size, size + 1),
+                ci_backend, table, x, y, neighbors[dep.effect], range(size, size + 1),
                 store=sepsets, stats=stats, label="phase1", rng=rng,
             )
             if sep is not None:
                 rev = reverse_dependency(dep)
                 live.discard(dep)
                 live.discard(rev)
-                neighbors[y].discard(x)
-                neighbors.setdefault(rev.effect, set()).discard(rev.cause)
+                neighbors[dep.effect].discard(x)
+                neighbors[rev.effect].discard(ids[rev][1])
     return sorted(live, key=str), sepsets
 
 
@@ -197,15 +204,14 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
             directed = agg.parents[y] | agg.children[y]
             if directed >> x & 1 and directed >> z & 1:
                 continue
-            sep = sepsets.get(a, b)
+            sep = sepsets.get(perspective, x, z)
             if sep is None:
                 if (perspective, x, z) in no_sepset:
                     continue
                 # x and z are non-adjacent, so neither is in the other's neighbors
                 for end in (x, z):
                     sep = find_sepset(
-                        ci_backend, a, b,
-                        [agg.nodes[k] for k in agg.adjacency[end]],
+                        ci_backend, agg, x, z, agg.adjacency[end],
                         range(config.depth + 1),
                         store=sepsets, stats=stats, label=label, rng=rng,
                     )
@@ -214,7 +220,7 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
                 if sep is None:
                     no_sepset.add((perspective, x, z))
                     continue
-            if agg.nodes[y] not in sep:
+            if not sep >> y & 1:
                 _orient_edge(agg_set, agg, x, y, rule)
                 _orient_edge(agg_set, agg, z, y, rule)
             elif rbo:

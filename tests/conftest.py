@@ -1,5 +1,6 @@
 import pytest
 
+from relcd.agg import bits
 from relcd.model import (
     RelationalDependency,
     RelationalModel,
@@ -16,9 +17,15 @@ class CountingCI:
         self.inner = inner
         self.calls = 0
 
-    def independent(self, x, y, cond=frozenset()):
+    def independent(self, table, x, y, z=0):
         self.calls += 1
-        return self.inner.independent(x, y, cond)
+        return self.inner.independent(table, x, y, z)
+
+
+def as_variables(table, x, y, z):
+    """An id query of ``table`` as its variables: (x, y, cond)."""
+    nodes = table.nodes
+    return nodes[x], nodes[y], frozenset(nodes[i] for i in bits(z))
 
 
 def var(path_items, attribute):

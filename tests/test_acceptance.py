@@ -29,7 +29,7 @@ from relcd.paths import RelationalPath
 from relcd.rcd import LearnConfig, majority_vote, rcd_learn
 from relcd.schema import Cardinality, random_schema, schema_to_json
 from relcd.skeleton import ground_graph, random_skeleton, sample_data
-from tests.conftest import propositional_model, single_entity_schema
+from tests.conftest import as_variables, propositional_model, single_entity_schema
 from tests.reference import (
     brute_force_pattern,
     dags,
@@ -258,10 +258,11 @@ class _RecordingOracle:
         self.records = {}
         self.calls = 0
 
-    def independent(self, x, y, cond=frozenset()):
+    def independent(self, table, x, y, z=0):
         self.calls += 1
-        verdict = self.inner.independent(x, y, cond)
-        self.records[(x.perspective, x, y, cond)] = verdict
+        verdict = self.inner.independent(table, x, y, z)
+        a, b, cond = as_variables(table, x, y, z)
+        self.records[(a.perspective, a, b, cond)] = verdict
         return verdict
 
 

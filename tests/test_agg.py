@@ -145,8 +145,8 @@ def test_d_separated_movie_collider(movie_truth):
         var(["ACTOR", "STARS-IN", "MOVIE", "STARS-IN", "ACTOR"], "Popularity")
     ]
     success = agg.index[var(["ACTOR", "STARS-IN", "MOVIE"], "Success")]
-    assert agg.d_separated(pop, costar_pop, frozenset())
-    assert not agg.d_separated(pop, costar_pop, frozenset({success}))
+    assert agg.d_separated(pop, costar_pop, 0)
+    assert not agg.d_separated(pop, costar_pop, 1 << success)
 
 
 def test_d_separated_movie_common_cause(movie_truth):
@@ -156,8 +156,8 @@ def test_d_separated_movie_common_cause(movie_truth):
         var(["MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE"], "Success")
     ]
     pop = agg.index[var(["MOVIE", "STARS-IN", "ACTOR"], "Popularity")]
-    assert not agg.d_separated(success, other_success, frozenset())
-    assert agg.d_separated(success, other_success, frozenset({pop}))
+    assert not agg.d_separated(success, other_success, 0)
+    assert agg.d_separated(success, other_success, 1 << pop)
 
 
 @given(seed=st.integers(0, 1500))
@@ -180,7 +180,8 @@ def test_d_separation_agrees_with_networkx(seed):
     for x, y in itertools.islice(itertools.combinations(ids, 2), 12):
         for z in ([], ids[:1], ids[:2]):
             zset = frozenset(z) - {x, y}
-            assert agg.d_separated(x, y, zset) == nx.is_d_separator(g, {x}, {y}, zset)
+            mask = sum(1 << i for i in zset)
+            assert agg.d_separated(x, y, mask) == nx.is_d_separator(g, {x}, {y}, zset)
 
 
 def _check_every_small_query(agg):
@@ -193,8 +194,9 @@ def _check_every_small_query(agg):
             itertools.combinations(rest, size) for size in range(3)
         ):
             theirs = nx.is_d_separator(g, {x}, {y}, set(z))
-            assert agg.d_separated(x, y, frozenset(z)) == theirs, (x, y, z)
-            assert agg.d_separated(y, x, frozenset(z)) == theirs, (y, x, z)
+            mask = sum(1 << i for i in z)
+            assert agg.d_separated(x, y, mask) == theirs, (x, y, z)
+            assert agg.d_separated(y, x, mask) == theirs, (y, x, z)
     return g
 
 
@@ -218,10 +220,10 @@ def test_snapshot_opens_a_collider_through_a_descendant_of_z():
     g = _check_every_small_query(agg)
     a, b, c, d = (agg.index[var(["E1"], name)] for name in "ABCD")
     assert sorted(g.edges) == sorted([(a, c), (b, c), (c, d)])
-    assert agg.d_separated(a, b, frozenset())
-    assert not agg.d_separated(a, b, frozenset({d}))
-    assert not agg.d_separated(a, b, frozenset({c}))
-    assert agg.d_separated(a, d, frozenset({c}))
+    assert agg.d_separated(a, b, 0)
+    assert not agg.d_separated(a, b, 1 << d)
+    assert not agg.d_separated(a, b, 1 << c)
+    assert agg.d_separated(a, d, 1 << c)
 
 
 @given(

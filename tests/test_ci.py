@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcd
+from relcd.agg import NodeTable, bits, node_table
 from relcd.ci import (
     OracleCI,
     RegressionCI,
     SepsetStore,
+    ask,
     check_query,
     find_sepset,
 )
@@ -53,26 +55,26 @@ INVALID_QUERIES = [
 
 def test_query_validation(movie_truth, movie_data):
     for backend in (OracleCI(movie_truth, hops=8), RegressionCI(movie_data)):
-        backend.independent(POP, COSTAR_POP)  # a valid query fills the memo
+        ask(backend, POP, COSTAR_POP)  # a valid query fills the memo
         for query, message in INVALID_QUERIES:
             for _ in range(2):  # a refused query leaves no memo entry
                 with pytest.raises(ValueError, match=message):
-                    backend.independent(*query)
+                    ask(backend, *query)
     for query, message in INVALID_QUERIES:
         with pytest.raises(ValueError, match=message):
             check_query(query[0].perspective, *query)
 
 
 def test_oracle_movie_examples(movie_truth):
-    independent = OracleCI(movie_truth, hops=8).independent
-    assert independent(POP, COSTAR_POP)
-    assert not independent(POP_VIA_MOVIE, SUCCESS)
-    assert independent(SUCCESS, OTHER_SUCCESS, frozenset((POP_VIA_MOVIE,)))
+    backend = OracleCI(movie_truth, hops=8)
+    assert ask(backend, POP, COSTAR_POP)
+    assert not ask(backend, POP_VIA_MOVIE, SUCCESS)
+    assert ask(backend, SUCCESS, OTHER_SUCCESS, frozenset((POP_VIA_MOVIE,)))
 
 
 def test_oracle_conditioning_opens_collider(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
-    assert not backend.independent(
+    assert not ask(backend, 
         POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))
     )
 
@@ -80,7 +82,7 @@ def test_oracle_conditioning_opens_collider(movie_truth):
 def test_oracle_rejects_out_of_range_variable(movie_truth):
     backend = OracleCI(movie_truth, hops=2)
     with pytest.raises(ValueError, match="outside"):
-        backend.independent(POP, COSTAR_POP)
+        ask(backend, POP, COSTAR_POP)
 
 
 def test_oracle_rejects_negative_hops(movie_truth):
@@ -91,11 +93,27 @@ def test_oracle_rejects_negative_hops(movie_truth):
 def test_oracle_counts_calls(movie_truth):
     oracle = OracleCI(movie_truth, hops=8)
     backend = CountingCI(oracle)
-    assert backend.independent(POP, COSTAR_POP)
-    assert backend.independent(COSTAR_POP, POP)
+    assert ask(backend, POP, COSTAR_POP)
+    assert ask(backend, COSTAR_POP, POP)
     assert backend.calls == 2
     # both orders share one memo entry, so the memo counts the misses
     assert len(oracle._memo) == 1
+
+
+def test_oracle_translates_other_tables(movie_truth):
+    oracle = OracleCI(movie_truth, hops=8)
+    own = node_table(movie_truth.schema, "ACTOR", 8)
+    smaller = node_table(movie_truth.schema, "ACTOR", 4)
+    for table in (own, smaller, own):
+        i = table.index
+        assert oracle.independent(table, i[POP], i[COSTAR_POP])
+        assert not oracle.independent(
+            table, i[COSTAR_POP], i[POP], 1 << i[SUCCESS_VIA_ACTOR]
+        )
+    assert not ask(oracle, POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,)))
+    # one memo entry per verdict, and one remap per perspective, not per table
+    assert len(oracle._memo) == 2
+    assert list(oracle._remaps) == ["ACTOR"]
 
 
 @given(seed=st.integers(0, 2000))
@@ -114,7 +132,7 @@ def test_oracle_symmetry(seed):
     if x.attribute_class == y.attribute_class and x == y:
         return
     cond = frozenset((z,)) - {x, y}
-    assert backend.independent(x, y, cond) == backend.independent(y, x, cond)
+    assert ask(backend, x, y, cond) == ask(backend, y, x, cond)
 
 
 @given(seed=st.integers(0, 2000))
@@ -136,7 +154,7 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
     entity = schema.entities[0].name
     a, b = attrs[0], attrs[1]
     others = frozenset(var([entity], c) for c in attrs[2:3])
-    mine = backend.independent(var([entity], a), var([entity], b), others)
+    mine = ask(backend, var([entity], a), var([entity], b), others)
     theirs = nx.is_d_separator(
         g,
         {AttributeClass(entity, a)},
@@ -162,7 +180,7 @@ def test_regression_detects_direct_dependency(movie_truth, movie_schema):
         skel = random_skeleton(movie_schema, {"ACTOR": 1200, "MOVIE": 1200}, 3.0, seed=seed)
         values = sample_data(ground_graph(movie_truth, skel), seed=seed + 100)
         backend = RegressionCI(skel.with_values(values))
-        if not backend.independent(POP_VIA_MOVIE, SUCCESS):
+        if not ask(backend, POP_VIA_MOVIE, SUCCESS):
             hits += 1
     assert hits >= 19
 
@@ -176,7 +194,7 @@ def test_regression_null_size(movie_schema):
         skel = random_skeleton(movie_schema, {"ACTOR": 1200, "MOVIE": 1200}, 3.0, seed=seed)
         values = sample_data(ground_graph(null, skel), seed=seed + 500)
         backend = RegressionCI(skel.with_values(values))
-        if backend.independent(POP_VIA_MOVIE, SUCCESS):
+        if ask(backend, POP_VIA_MOVIE, SUCCESS):
             accepted += 1
     assert accepted >= 16  # roughly 1 - alpha of seeds
 
@@ -187,7 +205,7 @@ def test_regression_zero_variance_column(movie_schema, movie_truth):
     backend = RegressionCI(skel.with_values(values))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert backend.independent(POP_VIA_MOVIE, SUCCESS)
+        assert ask(backend, POP_VIA_MOVIE, SUCCESS)
     assert backend.outcomes == {"zero_variance": 1}
 
 
@@ -195,7 +213,7 @@ def test_regression_insufficient_rows(movie_schema, movie_truth):
     skel = random_skeleton(movie_schema, {"ACTOR": 2, "MOVIE": 2}, 1.0, seed=0)
     values = sample_data(ground_graph(movie_truth, skel), seed=1)
     backend = RegressionCI(skel.with_values(values))
-    assert backend.independent(POP_VIA_MOVIE, SUCCESS)
+    assert ask(backend, POP_VIA_MOVIE, SUCCESS)
     assert backend.outcomes == {"too_few_rows": 1}
 
 
@@ -278,7 +296,7 @@ def test_regression_invariant_to_rescaling(movie_data):
         (POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))),
     ]
     for q in queries:
-        assert base.independent(*q) == scaled.independent(*q)
+        assert ask(base, *q) == ask(scaled, *q)
 
 
 def test_regression_invariant_to_row_order(movie_schema, movie_truth):
@@ -304,9 +322,9 @@ def test_regression_invariant_to_row_order(movie_schema, movie_truth):
         },
     )
     q = (POP_VIA_MOVIE, SUCCESS)
-    assert RegressionCI(skel.with_values(values)).independent(*q) == RegressionCI(
-        shuffled
-    ).independent(*q)
+    assert ask(RegressionCI(skel.with_values(values)), *q) == ask(
+        RegressionCI(shuffled), *q
+    )
 
 
 COLUMN_BYTES = """
@@ -350,35 +368,59 @@ def test_regression_columns_independent_of_hash_seed(tmp_path, movie_truth):
     assert columns(1) == first
 
 
+def test_regression_memo_keeps_query_order(movie_data):
+    backend = RegressionCI(movie_data)
+    cond = frozenset((SUCCESS_VIA_ACTOR,))
+    forward = ask(backend, POP, COSTAR_POP, cond)
+    backward = ask(backend, COSTAR_POP, POP, cond)
+    # keyed by variable, so the learner's table shares the entry of ask's
+    table = node_table(movie_data.schema, "ACTOR", 8)
+    i = table.index
+    query = (table, i[POP], i[COSTAR_POP], 1 << i[SUCCESS_VIA_ACTOR])
+    assert backend.independent(*query) == forward
+    assert len(backend._memo) == 2
+    assert forward == ask(RegressionCI(movie_data), POP, COSTAR_POP, cond)
+    assert backward == ask(RegressionCI(movie_data), COSTAR_POP, POP, cond)
+
+
 def test_regression_facade(movie_data):
-    assert RegressionCI(movie_data).independent(POP, COSTAR_POP) is True
+    assert ask(RegressionCI(movie_data), POP, COSTAR_POP) is True
 
 
 def test_find_sepset_movie(movie_truth):
     backend = OracleCI(movie_truth, hops=8)
+    table = node_table(movie_truth.schema, "ACTOR", 8)
+    pop, costar_pop, success = (
+        table.index[v] for v in (POP, COSTAR_POP, SUCCESS_VIA_ACTOR)
+    )
     store = SepsetStore()
     stats = Counter()
     sep = find_sepset(
         backend,
-        POP,
-        COSTAR_POP,
-        [SUCCESS_VIA_ACTOR],
+        table,
+        pop,
+        costar_pop,
+        [success],
         range(4),
         store=store,
         stats=stats,
         label="probe",
         rng=None,
     )
-    assert sep == frozenset()
-    assert store.get(POP, COSTAR_POP) == frozenset()
+    assert sep == 0  # the empty set
+    assert store.get("ACTOR", pop, costar_pop) == 0
     assert stats["probe"] == 1
 
 
 def _search(backend, x, y, pool, sizes, stats=None, rng=None):
-    return find_sepset(
-        backend, x, y, pool, sizes,
+    """``find_sepset`` over the variables of a query; the set as variables."""
+    table = NodeTable.of(x.perspective, (x, y, *pool))
+    index = table.index
+    sep = find_sepset(
+        backend, table, index[x], index[y], [index[v] for v in pool], sizes,
         store=SepsetStore(), stats=stats, label="probe", rng=rng,
     )
+    return None if sep is None else frozenset(table.nodes[i] for i in bits(sep))
 
 
 def test_find_sepset_none_for_direct_dependency(movie_truth):
@@ -424,8 +466,9 @@ def test_find_sepset_tries_only_the_given_sizes(movie_truth):
 
 def test_sepset_store_keeps_first():
     store = SepsetStore()
-    store.record(POP, COSTAR_POP, frozenset())
-    store.record(COSTAR_POP, POP, frozenset((SUCCESS_VIA_ACTOR,)))
-    assert store.get(POP, COSTAR_POP) == frozenset()
+    store.record("ACTOR", 0, 4, 0)
+    store.record("ACTOR", 4, 0, 1 << 2)
+    assert store.get("ACTOR", 0, 4) == 0
+    assert store.get("ACTOR", 4, 0) == 0
+    assert store.get("MOVIE", 0, 4) is None
     assert len(store) == 1
-

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcd.agg import build_all, orient
+from relcd.agg import build_all, node_table, orient
 from relcd.ci import OracleCI
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
@@ -29,6 +29,7 @@ from relcd.rcd import (
 from relcd.schema import random_schema
 from tests.conftest import (
     CountingCI,
+    as_variables,
     dep,
     propositional_model,
     single_entity_schema,
@@ -72,9 +73,8 @@ def test_phase1_three_chain():
     pds, sepsets = phase1(schema, OracleCI(truth, 8), LearnConfig())
     pairs = {canonical_pair(d) for d in pds}
     assert len(pds) == 4 and len(pairs) == 2
-    assert sepsets.get(var(["E1"], "X"), var(["E1"], "Z")) == frozenset(
-        (var(["E1"], "Y"),)
-    )
+    x, y, z = (node_table(schema, "E1", 8).index[var(["E1"], a)] for a in "XYZ")
+    assert sepsets.get("E1", x, z) == 1 << y
 
 
 def test_collider_detection_propositional():
@@ -182,9 +182,9 @@ class RecordingCI:
         self.inner = inner
         self.queries = []
 
-    def independent(self, x, y, cond=frozenset()):
-        self.queries.append((x, y, cond))
-        return self.inner.independent(x, y, cond)
+    def independent(self, table, x, y, z=0):
+        self.queries.append(as_variables(table, x, y, z))
+        return self.inner.independent(table, x, y, z)
 
 
 def test_collider_detection_searches_one_endpoints_neighbors():
@@ -291,12 +291,13 @@ class FlakyOnFirstRun:
         self.flaky_hits = 0
         self.calls = 0
 
-    def independent(self, x, y, cond=frozenset()):
+    def independent(self, table, x, y, z=0):
         self.calls += 1
-        if {x, y} == self.flaky_pair and not cond:
+        a, b, cond = as_variables(table, x, y, z)
+        if {a, b} == self.flaky_pair and not cond:
             self.flaky_hits += 1
             return self.flaky_hits == 1
-        return self.inner.independent(x, y, cond)
+        return self.inner.independent(table, x, y, z)
 
 
 def test_majority_vote_threshold_semantics():
@@ -362,6 +363,57 @@ def test_oracle_patterns_and_ci_counts_are_pinned(case, ci_tests, digest):
     config = LearnConfig()
     schema, truth = generate_case(entities, deps, config.hop_threshold, seq)
     doc = pattern_to_dict(rcd_learn(schema, OracleCI(truth, hops=8), config))
+    assert doc["stats"]["ci_tests"] == ci_tests
+    text = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+# The same learns with the oracle at other hops than the learner lifts at
+# (2 * hop_threshold = 8), so that it translates the learner's node ids into
+# its own graph's: CI tests per label and digest as above, or the error that
+# names the first variable outside its node set. Pinned from the learner
+# that asked the oracle by variable.
+OTHER_HOPS = [
+    ((3, 10, 0), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1, E1].X1"),
+    ((3, 10, 0), 6,
+     "variable outside oracle node set at 6 hops: [E1, R1, E2, R1, E1, R1, E2, R1].X10"),
+    ((3, 10, 0), 10, ({"phase1": 503, "phase2_cd": 4230, "phase2_rbo": 24}, "84ab2d30f797674b")),
+    ((3, 10, 0), 12, ({"phase1": 503, "phase2_cd": 4857, "phase2_rbo": 24}, "17e3e814ef74aff8")),
+    ((3, 10, 1), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1].X5"),
+    ((3, 10, 1), 6, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
+    ((3, 10, 1), 10, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
+    ((3, 10, 1), 12, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
+    ((4, 10, 1), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1].X7"),
+    ((4, 10, 1), 6,
+     "variable outside oracle node set at 6 hops: [E1, R1, E2, R1, E1, R3, E4, R3].X12"),
+    ((4, 10, 1), 10, ({"phase1": 315, "phase2_cd": 980, "phase2_rbo": 3}, "09ebcb2101351704")),
+    ((4, 10, 1), 12, ({"phase1": 315, "phase2_cd": 1054, "phase2_rbo": 3}, "fa28705143e5972e")),
+    ((4, 15, 1), 2, "variable outside oracle node set at 2 hops: [E1, R2, E3, R2, E1].X1"),
+    ((4, 15, 1), 6,
+     "variable outside oracle node set at 6 hops: [E1, R2, E3, R2, E1, R2, E3, R2].X13"),
+    ((4, 15, 1), 10, ({"phase1": 947, "phase2_cd": 7415, "phase2_rbo": 22}, "1ef9df15ccaa5ba7")),
+    ((4, 15, 1), 12, ({"phase1": 947, "phase2_cd": 7589, "phase2_rbo": 22}, "c7a8a39eea74d78b")),
+]
+
+
+@pytest.mark.parametrize(
+    "case,hops,expected",
+    OTHER_HOPS,
+    ids=[f"{'-'.join(map(str, case))}-h{hops}" for case, hops, _ in OTHER_HOPS],
+)
+def test_oracle_at_other_hops_is_pinned(case, hops, expected):
+    entities, deps, trial = case
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(entities, deps, trial))
+    config = LearnConfig()
+    schema, truth = generate_case(entities, deps, config.hop_threshold, seq)
+    backend = OracleCI(truth, hops=hops)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            rcd_learn(schema, backend, config)
+        assert str(exc.value) == expected
+        return
+    doc = pattern_to_dict(rcd_learn(schema, backend, config))
+    ci_tests, digest = expected
     assert doc["stats"]["ci_tests"] == ci_tests
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == digest

@@ -12,7 +12,6 @@ from .agg import (
 from .ci import (
     OracleCI,
     RegressionCI,
-    SepsetStore,
     ask,
     find_sepset,
     oriented_agg,

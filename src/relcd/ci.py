@@ -6,17 +6,19 @@ perspective's variables in ``variable_key`` order) independent given those
 whose ids are set in the bitmask z? The learner asks only this way, with the
 tables ``node_table`` interns at twice its hop threshold: phase I, the lifted
 graphs (an ``Agg`` is a table), ``find_sepset`` and an oracle at the same
-hops share their ids. ``ask(backend, x, y, cond)`` is the one entry point by
-variable (``relcd dsep``, tests): it checks the query (``check_query``) and
-asks by the ids of a table of its own variables. A table holds only its
-perspective's variables, so a backend checks a query only when it repeats
-an id (x equal to y, or x or y in z), on a memo miss.
+hops share their ids (an oracle at other hops translates them). ``ask(backend,
+x, y, cond)`` is the one entry point by variable (``relcd dsep``, tests): it
+checks the query (``check_query``) and asks by the ids of a table of its own
+variables. A table holds only its perspective's variables, so a backend
+checks a query only when it repeats an id (x equal to y, or x or y in z), on
+a memo miss.
 
 The exact oracle asks the fully directed lifted graphs of a known model
 (``oriented_agg``) for d-separation; the regression test averages each
 variable over its terminal sets in skeleton data, one relational path at a
 time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
-of both learner phases; it counts its tests per label in a ``Counter``.
+of both learner phases; it counts its tests per label in a ``Counter`` and
+records nothing (the learner keeps one dict of separating sets).
 """
 
 from __future__ import annotations
@@ -50,22 +52,6 @@ def check_query(
             raise ValueError(f"{v} is not a {perspective}-perspective variable")
 
 
-class SepsetStore:
-    """First separating set (an id mask) per unordered id pair of a perspective."""
-
-    def __init__(self):
-        self._sets: dict[tuple[str, int, int], int] = {}
-
-    def record(self, perspective: str, x: int, y: int, sepset: int) -> None:
-        self._sets.setdefault((perspective, min(x, y), max(x, y)), sepset)
-
-    def get(self, perspective: str, x: int, y: int) -> int | None:
-        return self._sets.get((perspective, min(x, y), max(x, y)))
-
-    def __len__(self):
-        return len(self._sets)
-
-
 def oriented_agg(model: RelationalModel, perspective: str, hops: int) -> Agg:
     """One perspective's lifted graph of a model, directed as the model is."""
     agg = build_agg(model.dependencies, model.schema, perspective, hops)
@@ -79,8 +65,8 @@ class OracleCI:
 
     One fully directed graph per perspective is built lazily at the oracle
     hop threshold and cached; verdicts are memoized on its ids. The ids of
-    another table than the graph's are translated by a remap list, kept per
-    perspective for the table last asked.
+    another table than the graph's (an oracle at other hops than the
+    learner's) are translated through the graph's index on each query.
     """
 
     def __init__(self, model: RelationalModel, hops: int = 8):
@@ -89,8 +75,6 @@ class OracleCI:
         self.model = model
         self.hops = hops
         self._aggs: dict[str, Agg] = {}
-        # perspective -> (the last table's nodes, graph, remap or None)
-        self._remaps: dict[str, tuple] = {}
         self._memo: dict[tuple, bool] = {}
 
     def _agg(self, perspective: str) -> Agg:
@@ -103,21 +87,13 @@ class OracleCI:
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:
         perspective = table.perspective
-        remap = self._remaps.get(perspective)
-        if remap is None or remap[0] is not table.nodes:
-            agg = self._agg(perspective)
-            ids = None
-            if table.nodes is not agg.nodes:
-                ids = [agg.index.get(v, -1) for v in table.nodes]
-            remap = self._remaps[perspective] = (table.nodes, agg, ids)
-        _, agg, ids = remap
-        if ids is not None:
-            asked = [x, y, *bits(z)]
-            mapped = [ids[i] for i in asked]
-            if -1 in mapped:
-                nodes = [table.nodes[i] for i in asked]
+        agg = self._agg(perspective)
+        if table.nodes is not agg.nodes:
+            nodes = [table.nodes[i] for i in (x, y, *bits(z))]
+            mapped = [agg.index.get(v) for v in nodes]
+            if None in mapped:
                 check_query(perspective, nodes[0], nodes[1], frozenset(nodes[2:]))
-                raise ValueError(self._unknown(nodes[mapped.index(-1)]))
+                raise ValueError(self._unknown(nodes[mapped.index(None)]))
             x, y, z = mapped[0], mapped[1], sum(1 << i for i in mapped[2:])
         key = (perspective, x, y, z) if x < y else (perspective, y, x, z)
         verdict = self._memo.get(key)
@@ -275,7 +251,6 @@ def find_sepset(
     candidate_pool,
     sizes: range,
     *,
-    store: SepsetStore,
     stats: Counter | None,
     label: str,
     rng: np.random.Generator | None,
@@ -284,9 +259,10 @@ def find_sepset(
 
     ``x``, ``y`` and the pool are ids of ``table``, and a set is an id
     bitmask. Subsets are tried by size, each size in canonical (id) order, or
-    in a per-run permutation of the pool when ``rng`` is given; a found set
-    is recorded in the store. Sizes beyond the pool are skipped, and a search
-    with no size left returns None before it draws from ``rng``.
+    in a per-run permutation of the pool when ``rng`` is given. The search
+    records nothing; the caller keeps what it finds. Sizes beyond the pool
+    are skipped, and a search with no size left returns None before it
+    draws from ``rng``.
     """
     pool = sorted(set(candidate_pool) - {x, y})
     sizes = [size for size in sizes if size <= len(pool)]
@@ -301,6 +277,5 @@ def find_sepset(
             if stats is not None:
                 stats[label] += 1
             if ci_backend.independent(table, x, y, z):
-                store.record(table.perspective, x, y, z)
                 return z
     return None

@@ -18,6 +18,7 @@ from .harness import (
     PROFILE_COLUMNS,
     TrialConfig,
     bench_to_csv,
+    check_oracle_hops,
     run_bench,
 )
 from .model import model_from_json, model_to_json, parse_variable, random_model
@@ -114,6 +115,7 @@ def cmd_learn(args) -> None:
             raise ValueError(
                 f"the schema of --model {args.model} differs from --schema {args.schema}"
             )
+        check_oracle_hops(args.oracle_hops, args.hop_threshold)
         backend = OracleCI(model, hops=args.oracle_hops)
     else:
         skeleton = load_skeleton(schema, args.data)
@@ -187,8 +189,14 @@ def cmd_agg_export(args) -> None:
     _write(agg_to_dot(oriented_agg(model, args.perspective, args.hops)), args.output)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(f"{flag} entry {part!r} is not an integer") from None
+    return tuple(values)
 
 
 def cmd_bench(args) -> None:
@@ -201,8 +209,8 @@ def cmd_profile(args) -> None:
 
 def _run_grid(args, rbo_order: str, columns: tuple[str, ...]) -> None:
     config = TrialConfig(
-        entities=_int_list(args.entities),
-        deps=_int_list(args.deps),
+        entities=_int_list(args.entities, "--entities"),
+        deps=_int_list(args.deps, "--deps"),
         trials=args.trials,
         hop_threshold=args.hop_threshold,
         oracle_hops=args.oracle_hops,

@@ -37,6 +37,23 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name, values, low in (("entities", self.entities, 1), ("deps", self.deps, 0)):
+            if any(v < low for v in values):
+                raise ValueError(f"{name} must be >= {low}")
+            if len(set(values)) < len(values):  # a repeat would pool copies of a cell
+                raise ValueError(f"{name} lists a value twice")
+        check_oracle_hops(self.oracle_hops, self.hop_threshold)
+
+
+def check_oracle_hops(oracle_hops: int, hop_threshold: int) -> None:
+    """Refuse an oracle that knows fewer hops than the learner asks about."""
+    if oracle_hops < 0:
+        raise ValueError("hops must be >= 0")
+    if oracle_hops < 2 * hop_threshold:
+        raise ValueError(
+            f"--oracle-hops {oracle_hops} is below twice --hop-threshold {hop_threshold}: "
+            f"the learner asks about variables up to {2 * hop_threshold} hops"
+        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .agg import AggSet, build_all, node_table, orient, unshielded_triples
-from .ci import SepsetStore, find_sepset
+from .ci import find_sepset
 from .model import (
     RelationalDependency,
     RelationalVariable,
@@ -82,16 +82,16 @@ def phase1(
     *,
     stats: Counter | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[list[RelationalDependency], SepsetStore]:
+) -> tuple[list[RelationalDependency], dict]:
     """Prune potential dependencies by increasing conditioning size.
 
     A dependency and its reverse are removed together as soon as any
     conditioning set drawn from the current cause candidates of the effect
-    separates the pair; the witnessing set is recorded. Queries name
-    variables by id in the node tables that phase II lifts on, at twice the
-    hop threshold.
+    separates the pair; the witnessing set (an id mask) is recorded, keyed
+    (perspective, low id, high id). Queries name variables by id in the node
+    tables that phase II lifts on, at twice the hop threshold.
     """
-    sepsets = SepsetStore()
+    sepsets: dict[tuple[str, int, int], int | None] = {}
     pds = potential_dependencies(schema, config.hop_threshold)
     hops = 2 * config.hop_threshold
     tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
@@ -112,9 +112,10 @@ def phase1(
             table, x, y = ids[dep]
             sep = find_sepset(
                 ci_backend, table, x, y, neighbors[dep.effect], range(size, size + 1),
-                store=sepsets, stats=stats, label="phase1", rng=rng,
+                stats=stats, label="phase1", rng=rng,
             )
             if sep is not None:
+                sepsets[(table.perspective, min(x, y), max(x, y))] = sep
                 rev = reverse_dependency(dep)
                 live.discard(dep)
                 live.discard(rev)
@@ -143,7 +144,7 @@ def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:
 
 def collider_detection(
     agg_set: AggSet,
-    sepsets: SepsetStore,
+    sepsets: dict,
     ci_backend,
     config: LearnConfig,
     *,
@@ -156,7 +157,7 @@ def collider_detection(
 
 def bivariate_orientation(
     agg_set: AggSet,
-    sepsets: SepsetStore,
+    sepsets: dict,
     ci_backend,
     config: LearnConfig,
     *,
@@ -182,13 +183,13 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
     perspective's own attribute across a MANY reverse path, is the special
     case where one endpoint is the base variable.
 
-    Pairs with no recorded separating set are searched afresh as in PC:
+    Pairs absent from the ``sepsets`` record are searched afresh as in PC:
     first among subsets of x's current neighbors, then, if none separates,
-    among subsets of z's. Failures are remembered for the pass so a pair is
-    scanned at most once.
+    among subsets of z's. The result, a set or None, is recorded, so a pair
+    is searched once. The two passes take disjoint endpoint pairs, so
+    neither reads a failure the other recorded.
     """
     rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
-    no_sepset: set[tuple[str, int, int]] = set()
     perspectives = agg_set.perspectives()
     if rng is not None:
         rng.shuffle(perspectives)
@@ -204,22 +205,21 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
             directed = agg.parents[y] | agg.children[y]
             if directed >> x & 1 and directed >> z & 1:
                 continue
-            sep = sepsets.get(perspective, x, z)
-            if sep is None:
-                if (perspective, x, z) in no_sepset:
-                    continue
+            key = (perspective, x, z)  # x < z, as unshielded_triples emits
+            if key not in sepsets:
                 # x and z are non-adjacent, so neither is in the other's neighbors
                 for end in (x, z):
                     sep = find_sepset(
                         ci_backend, agg, x, z, agg.adjacency[end],
                         range(config.depth + 1),
-                        store=sepsets, stats=stats, label=label, rng=rng,
+                        stats=stats, label=label, rng=rng,
                     )
                     if sep is not None:
                         break
-                if sep is None:
-                    no_sepset.add((perspective, x, z))
-                    continue
+                sepsets[key] = sep
+            sep = sepsets[key]
+            if sep is None:
+                continue
             if not sep >> y & 1:
                 _orient_edge(agg_set, agg, x, y, rule)
                 _orient_edge(agg_set, agg, z, y, rule)

@@ -8,6 +8,7 @@ from relcd.model import (
 )
 from relcd.paths import RelationalPath
 from relcd.schema import Cardinality, EntityClass, RelationshipClass, Schema
+from relcd.skeleton import ground_graph, random_skeleton, sample_data
 
 
 class CountingCI:
@@ -62,6 +63,15 @@ def movie_truth(movie_schema):
         movie_schema,
         (dep(["MOVIE", "STARS-IN", "ACTOR"], "Popularity", "MOVIE", "Success"),),
     )
+
+
+@pytest.fixture(scope="session")
+def movie_data(movie_truth):
+    skel = random_skeleton(
+        movie_truth.schema, {"ACTOR": 5000, "MOVIE": 5000}, 3.0, seed=17
+    )
+    values = sample_data(ground_graph(movie_truth, skel), seed=18)
+    return skel.with_values(values)
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,16 @@
 ``perfbench/tracing.py`` replaces functions at the module globals the
 program calls them through, and counts CI queries by wrapping a backend's
 ``independent``. A change that routes around one of them would zero its
-per-layer counts without failing the benchmark, so this test runs one
-traced learn. It reads ``perfbench/`` and changes nothing there.
+per-layer counts without failing the benchmark, so these tests run one
+traced learn per backend. They read ``perfbench/`` and change nothing
+there.
 """
 
 import importlib.util
 from pathlib import Path
 
 from relcd import rcd
-from relcd.ci import OracleCI
+from relcd.ci import OracleCI, RegressionCI
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -23,6 +24,13 @@ def _tracer():
     return module.Tracer()
 
 
+# column building reads terminal_sets, so only terminal_set is unused
+UNUSED = {
+    "skeleton.terminal_set (relcd.ci.terminal_set)",
+    "skeleton.terminal_set (relcd.skeleton.terminal_set)",
+}
+
+
 def test_tracer_counts_every_query_of_an_oracle_learn(movie_truth):
     tracer = _tracer()
     tracer.install_program()
@@ -31,10 +39,27 @@ def test_tracer_counts_every_query_of_an_oracle_learn(movie_truth):
         pattern = rcd.rcd_learn(movie_truth.schema, backend, rcd.LearnConfig())
     finally:
         tracer.uninstall()
-    # column building reads terminal_sets, so only terminal_set is unused
-    assert tracer.absent == {
-        "skeleton.terminal_set (relcd.ci.terminal_set)",
-        "skeleton.terminal_set (relcd.skeleton.terminal_set)",
-    }
+    assert tracer.absent == UNUSED
     assert tracer.stats["ci.independent"]["calls"] == pattern.stats.total() > 0
     assert tracer.stats["ci.find_sepset"]["calls"] > 0
+
+
+def test_tracer_counts_every_query_of_a_data_vote(movie_data):
+    tracer = _tracer()
+    tracer.install_program()
+    try:
+        backend = tracer.backend(RegressionCI(movie_data))
+        pattern = rcd.majority_vote(
+            movie_data.schema, backend, rcd.LearnConfig(), runs=2
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == UNUSED
+    assert tracer.stats["ci.independent"]["calls"] == pattern.stats.total() > 0
+    assert tracer.stats["ci.regression.column"]["calls"] > 0
+    spans = tracer.spans
+    learns = [
+        span for span in spans
+        if span[0] == "rcd.rcd_learn" and spans[span[3]][0] == "rcd.majority_vote"
+    ]
+    assert len(learns) == 2

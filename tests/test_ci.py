@@ -13,18 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcd
-from relcd.agg import NodeTable, bits, node_table
+from relcd.agg import NodeTable, bits, build_all, node_table
 from relcd.ci import (
     OracleCI,
     RegressionCI,
-    SepsetStore,
     ask,
     check_query,
     find_sepset,
 )
 from relcd.errors import Infeasible
+from relcd.harness import generate_case
 from relcd.model import RelationalVariable, random_model
 from relcd.paths import enumerate_paths
+from relcd.rcd import LearnConfig, bivariate_orientation, collider_detection, phase1
 from relcd.schema import AttributeClass, random_schema, schema_to_json
 from relcd.skeleton import ground_graph, random_skeleton, sample_data, save_skeleton
 from tests.conftest import CountingCI, propositional_model, single_entity_schema, var
@@ -111,9 +112,8 @@ def test_oracle_translates_other_tables(movie_truth):
             table, i[COSTAR_POP], i[POP], 1 << i[SUCCESS_VIA_ACTOR]
         )
     assert not ask(oracle, POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,)))
-    # one memo entry per verdict, and one remap per perspective, not per table
+    # one memo entry per verdict, whichever table asked
     assert len(oracle._memo) == 2
-    assert list(oracle._remaps) == ["ACTOR"]
 
 
 @given(seed=st.integers(0, 2000))
@@ -162,15 +162,6 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
         {AttributeClass(entity, v.attribute) for v in others},
     )
     assert mine == theirs
-
-
-@pytest.fixture(scope="module")
-def movie_data(movie_truth):
-    skel = random_skeleton(
-        movie_truth.schema, {"ACTOR": 5000, "MOVIE": 5000}, 3.0, seed=17
-    )
-    values = sample_data(ground_graph(movie_truth, skel), seed=18)
-    return skel.with_values(values)
 
 
 def test_regression_detects_direct_dependency(movie_truth, movie_schema):
@@ -393,7 +384,6 @@ def test_find_sepset_movie(movie_truth):
     pop, costar_pop, success = (
         table.index[v] for v in (POP, COSTAR_POP, SUCCESS_VIA_ACTOR)
     )
-    store = SepsetStore()
     stats = Counter()
     sep = find_sepset(
         backend,
@@ -402,13 +392,11 @@ def test_find_sepset_movie(movie_truth):
         costar_pop,
         [success],
         range(4),
-        store=store,
         stats=stats,
         label="probe",
         rng=None,
     )
     assert sep == 0  # the empty set
-    assert store.get("ACTOR", pop, costar_pop) == 0
     assert stats["probe"] == 1
 
 
@@ -418,7 +406,7 @@ def _search(backend, x, y, pool, sizes, stats=None, rng=None):
     index = table.index
     sep = find_sepset(
         backend, table, index[x], index[y], [index[v] for v in pool], sizes,
-        store=SepsetStore(), stats=stats, label="probe", rng=rng,
+        stats=stats, label="probe", rng=rng,
     )
     return None if sep is None else frozenset(table.nodes[i] for i in bits(sep))
 
@@ -464,11 +452,31 @@ def test_find_sepset_tries_only_the_given_sizes(movie_truth):
     assert rng.bit_generator.state != state
 
 
+class _WriteOnce(dict):
+    def __setitem__(self, key, value):
+        assert key not in self, f"{key} written twice"
+        super().__setitem__(key, value)
+
+
 def test_sepset_store_keeps_first():
-    store = SepsetStore()
-    store.record("ACTOR", 0, 4, 0)
-    store.record("ACTOR", 4, 0, 1 << 2)
-    assert store.get("ACTOR", 0, 4) == 0
-    assert store.get("ACTOR", 4, 0) == 0
-    assert store.get("MOVIE", 0, 4) is None
-    assert len(store) == 1
+    # the learner's separating sets: one dict, (perspective, low id, high id)
+    # -> an id mask, or None once phase II searched the pair in vain; phase
+    # II adds to phase I's record and never rewrites a key (grid case
+    # (4, 15, 0) at seed 0)
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(4, 15, 0))
+    config = LearnConfig()
+    schema, truth = generate_case(4, 15, config.hop_threshold, seq)
+    backend = OracleCI(truth, hops=8)
+    pds, first = phase1(schema, backend, config)
+    sepsets = _WriteOnce(first)
+    agg_set = build_all(pds, schema, 2 * config.hop_threshold)
+    collider_detection(agg_set, sepsets, backend, config)
+    bivariate_orientation(agg_set, sepsets, backend, config)
+    assert None not in first.values()
+    assert len(sepsets) > len(first)
+    assert None in sepsets.values()
+    for (_, x, y), sep in sepsets.items():
+        assert x < y
+        if sep is not None:
+            assert not (sep >> x | sep >> y) & 1
+    assert all(sepsets[key] == sep for key, sep in first.items())

@@ -556,6 +556,67 @@ def test_grid_rejects_counts_below_one(tmp_path, command, extra):
     assert not out.exists()
 
 
+def _grid(command, *extra):
+    argv = [command, "--entities", "2", "--deps", "1", "--trials", 1, *extra]
+    return argv + ["--mode", "rbo_first"] if command == "profile" else argv
+
+
+@pytest.mark.parametrize("command", ["bench", "profile"])
+@pytest.mark.parametrize(
+    ("extra", "message"),
+    [
+        (["--entities", "1,x"], "--entities entry 'x' is not an integer"),
+        (["--entities", ""], "--entities entry '' is not an integer"),
+        (["--deps", "1,2.5"], "--deps entry '2.5' is not an integer"),
+        (["--entities", "2,0"], "entities must be >= 1"),
+        (["--deps", "1,-1"], "deps must be >= 0"),
+        (["--entities", "2,3,2"], "entities lists a value twice"),
+        (["--deps", "1,1"], "deps lists a value twice"),
+        (["--oracle-hops", -1], "hops must be >= 0"),
+    ],
+    ids=[
+        "entities-x", "entities-empty", "deps-float", "entities0", "deps-1",
+        "entities-repeat", "deps-repeat", "hops-1",
+    ],
+)
+def test_grid_names_bad_entries(tmp_path, capsys, command, extra, message):
+    out = tmp_path / "grid.csv"
+    assert run(_grid(command, *extra, "-o", out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+ORACLE_BELOW_LEARNER = [
+    (["--oracle-hops", 6], "--oracle-hops 6 is below twice --hop-threshold 4: "
+     "the learner asks about variables up to 8 hops"),
+    (["--hop-threshold", 5], "--oracle-hops 8 is below twice --hop-threshold 5: "
+     "the learner asks about variables up to 10 hops"),
+]
+
+
+@pytest.mark.parametrize(("extra", "message"), ORACLE_BELOW_LEARNER, ids=["hops6", "threshold5"])
+def test_learn_refuses_oracle_hops_below_the_learners(capsys, movie_files, extra, message):
+    schema_path, model_path = movie_files
+    argv = ["learn", "--schema", schema_path, "--model", model_path, *extra]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["bench", "profile"])
+@pytest.mark.parametrize(("extra", "message"), ORACLE_BELOW_LEARNER, ids=["hops6", "threshold5"])
+def test_grid_refuses_oracle_hops_below_the_learners(tmp_path, capsys, command, extra, message):
+    out = tmp_path / "grid.csv"
+    # 3-entity trials reach variables beyond 6 hops
+    assert run(_grid(command, "--entities", "3", *extra, "-o", out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_data_learn_ignores_oracle_hops(seed7_files):
+    # --oracle-hops configures only the oracle backend
+    assert _learn_data(*seed7_files, "--oracle-hops", 0) == 0
+
+
 def test_import_leaves_networkx_unloaded():
     code = "import sys, relcd, relcd.cli; sys.exit('networkx' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=_python_env())

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcd import rcd
 from relcd.agg import build_all, node_table, orient
-from relcd.ci import OracleCI
+from relcd.ci import OracleCI, RegressionCI
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import (
@@ -27,6 +28,7 @@ from relcd.rcd import (
     rcd_learn,
 )
 from relcd.schema import random_schema
+from relcd.skeleton import ground_graph, random_skeleton, sample_data
 from tests.conftest import (
     CountingCI,
     as_variables,
@@ -74,7 +76,8 @@ def test_phase1_three_chain():
     pairs = {canonical_pair(d) for d in pds}
     assert len(pds) == 4 and len(pairs) == 2
     x, y, z = (node_table(schema, "E1", 8).index[var(["E1"], a)] for a in "XYZ")
-    assert sepsets.get("E1", x, z) == 1 << y
+    # one record per unordered pair: X -> Z and Z -> X share it
+    assert sepsets == {("E1", min(x, z), max(x, z)): 1 << y}
 
 
 def test_collider_detection_propositional():
@@ -209,6 +212,81 @@ def test_collider_detection_searches_one_endpoints_neighbors():
         sides.add((in_x, in_z))
     # the search falls back to z's neighbors when x's hold no separating set
     assert (False, True) in sides
+
+
+def _record_searches(monkeypatch) -> list[list[tuple]]:
+    """Wrap the learner's subset search; one list of searches per learn."""
+    runs: list[list[tuple]] = []
+    learn, search = rcd.rcd_learn, rcd.find_sepset
+
+    def recording_learn(*args, **kwargs):
+        runs.append([])
+        return learn(*args, **kwargs)
+
+    def recording_search(ci_backend, table, x, y, pool, sizes, *, label, **kwargs):
+        pool = frozenset(pool)
+        sep = search(ci_backend, table, x, y, pool, sizes, label=label, **kwargs)
+        runs[-1].append((label, table, x, y, pool, sep))
+        return sep
+
+    monkeypatch.setattr(rcd, "rcd_learn", recording_learn)
+    monkeypatch.setattr(rcd, "find_sepset", recording_search)
+    return runs
+
+
+def _phase2_searches(run) -> dict[tuple, list[tuple]]:
+    """Phase II's searches of one learn by (perspective, x, z), checked.
+
+    A pair is searched among x's neighbours, then, only if that finds
+    nothing, among z's; never once more, and never if phase I separated it.
+    """
+    recorded = {
+        (table.perspective, min(x, y), max(x, y))
+        for label, table, x, y, _, sep in run
+        if label == "phase1" and sep is not None
+    }
+    searches: dict[tuple, list[tuple]] = {}
+    for label, table, x, z, pool, sep in run:
+        if label != "phase1":
+            key = (table.perspective, x, z)
+            assert x < z and key not in recorded, key
+            searches.setdefault(key, []).append((table, pool, sep))
+    for (_, x, z), found in searches.items():
+        table = found[0][0]
+        assert [pool for _, pool, _ in found] == [
+            table.adjacency[x], table.adjacency[z]
+        ][: len(found)]
+        assert all(sep is None for _, _, sep in found[:-1])
+    return searches
+
+
+@pytest.mark.parametrize("rbo_order", ["rbo_after_cd", "rbo_first", "rbo_last"])
+def test_phase2_searches_each_pair_at_most_once_per_endpoint(monkeypatch, rbo_order):
+    # grid case (3, 15, 0) at seed 0: some pairs have no separating set,
+    # and some of those close more than one unshielded triple
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 15, 0))
+    config = LearnConfig(rbo_order=rbo_order)
+    schema, truth = generate_case(3, 15, config.hop_threshold, seq)
+    runs = _record_searches(monkeypatch)
+    rcd.rcd_learn(schema, OracleCI(truth, hops=8), config)
+    searches = _phase2_searches(runs[0])
+    assert {len(found) for found in searches.values()} == {1, 2}
+    assert any(found[-1][2] is None for found in searches.values())
+
+
+def test_phase2_searches_each_pair_at_most_once_per_endpoint_in_a_vote(monkeypatch):
+    # randomized orders draw the pools' permutations from each run's rng
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 5, 0))
+    schema, truth = generate_case(3, 5, 4, seq)
+    skel = random_skeleton(schema, {e.name: 60 for e in schema.entities}, 1.0, seed=1)
+    data = skel.with_values(sample_data(ground_graph(truth, skel), seed=2))
+    runs = _record_searches(monkeypatch)
+    rcd.majority_vote(schema, RegressionCI(data), LearnConfig(), runs=3)
+    assert len(runs) == 3
+    for run in runs:
+        searches = _phase2_searches(run)
+        assert {len(found) for found in searches.values()} == {1, 2}
+        assert any(found[-1][2] is None for found in searches.values())
 
 
 def test_rcd_learn_movie(movie_truth):

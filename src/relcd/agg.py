@@ -6,11 +6,12 @@ once per (schema, perspective, hops): adjacency, edges, triples, the
 orientation rules and CI queries work on those ids, so sorting ids sorts
 variables canonically. A single canonical dependency can support many edges
 within and across these graphs: every edge carries the unordered dependency
-pairs that produced it, and each graph knows the edges of each pair. A
-registry shared by the whole set maps each pair to its current orientation;
-orienting a pair writes it there once and directs every supporting edge in
-every graph at once, as bits in the graph's ``parents`` and ``children``
-id bitmasks.
+pairs that produced it, and each graph knows the edges of each pair. This
+structure, a ``Lifting``, is cached by ``lift``, so the oracle and the
+learner share it, and so do a vote's runs. A registry shared by the whole
+set maps each pair to its current orientation; orienting a pair writes it
+there once and directs every supporting edge in every graph of the set at
+once, as bits in the per-run ``parents`` and ``children`` id bitmasks.
 
 A fully directed graph answers d-separation itself (``Agg.d_separated``),
 by Bayes-ball over those masks; the oracle backend queries it.
@@ -18,8 +19,10 @@ by Bayes-ball over those masks; the oracle backend queries it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .model import (
     RelationalDependency,
@@ -80,26 +83,21 @@ def bits(mask: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Agg(NodeTable):
-    """One perspective's lifted graph, over the ids of its node table.
+class Lifting(NodeTable):
+    """A dependency set lifted into one perspective: what no run changes.
 
     ``adjacency[i]`` is the set of ids adjacent to node ``i``, and
-    ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the dependency
-    pairs that support it; ``pair_edges`` maps each pair back to its edges.
-    Distinct pairs can support one edge when two cause paths connect the
-    same attribute classes within the hop budget; they always relate the
-    same attribute classes, so direction stays well defined.
-
-    Bit j of ``parents[i]`` (an ``int``) is set once j -> i is directed, and
-    of ``children[i]`` once i -> j is; an edge with neither bit is
-    undirected.
+    ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the canonical
+    dependency pairs that support it, in text order; ``pair_edges`` maps
+    each pair back to its edges. Distinct pairs can support one edge when
+    two cause paths connect the same attribute classes within the hop
+    budget; they always relate the same attribute classes, so direction
+    stays well defined. ``lift`` shares liftings, so all of it is read-only.
     """
 
     adjacency: tuple[frozenset[int], ...]
-    edge_pairs: dict[tuple[int, int], tuple[RelationalDependency, ...]]
-    pair_edges: dict[RelationalDependency, tuple[tuple[int, int], ...]]
-    parents: list[int]
-    children: list[int]
+    edge_pairs: Mapping[tuple[int, int], tuple[RelationalDependency, ...]]
+    pair_edges: Mapping[RelationalDependency, tuple[tuple[int, int], ...]]
 
     def is_adjacent(self, i: int, j: int) -> bool:
         return j in self.adjacency[i]
@@ -107,6 +105,19 @@ class Agg(NodeTable):
     def pairs_of(self, i: int, j: int) -> tuple[RelationalDependency, ...]:
         """The dependency pairs supporting edge i - j, in either order."""
         return self.edge_pairs[(i, j) if i < j else (j, i)]
+
+
+@dataclass(frozen=True)
+class Agg(Lifting):
+    """One perspective's lifted graph: a shared lifting and its own directions.
+
+    Bit j of ``parents[i]`` (an ``int``) is set once j -> i is directed, and
+    of ``children[i]`` once i -> j is; an edge with neither bit is
+    undirected. Every graph has lists of its own.
+    """
+
+    parents: list[int]
+    children: list[int]
 
     def direct(
         self, pair: RelationalDependency, oriented: RelationalDependency
@@ -194,24 +205,31 @@ def _classes(pair: RelationalDependency) -> frozenset:
     return frozenset((pair.cause.attribute_class, pair.effect.attribute_class))
 
 
-def build_agg(
-    dependencies,
-    schema: Schema,
-    perspective: str,
-    node_hops: int,
-) -> Agg:
-    """Lift a dependency set into the graph seen from one perspective.
+class PairSet(frozenset):
+    """The canonical pairs of a validated dependency set."""
 
-    Nodes are the attribute-bearing relational variables within the hop
-    bound. For a dependency with effect class C, every node whose path ends
-    at C gains an edge from each valid composition of its path with the
-    cause path that stays within the bound, found by looking each candidate
-    (``paths.compositions``) up among the nodes: they hold every valid path
-    in bound.
-    """
+
+def _canonical_pairs(dependencies, schema: Schema) -> Registry:
+    """Validate dependencies; their pairs, by the text of the first naming each."""
     deps = sorted(set(dependencies), key=str)
     for dep in deps:
         validate_dependency(dep, schema)
+    return dict.fromkeys(map(canonical_pair, deps))
+
+
+@lru_cache(maxsize=64)
+def lift(schema: Schema, perspective: str, node_hops: int, pairs: PairSet) -> Lifting:
+    """Lift canonical dependency pairs into the graph seen from one perspective.
+
+    Nodes are the attribute-bearing relational variables within the hop
+    bound. For a pair with effect class C, every node whose path ends at C
+    gains an edge from each valid composition of its path with the cause
+    path that stays within the bound, found by looking each candidate
+    (``paths.compositions``) up among the nodes: they hold every valid path
+    in bound. A node composes to another exactly when that one composes
+    back along the reversed path, so a pair's reverse would add no edge.
+    Cached (64 entries) as ``node_table`` is.
+    """
     table = node_table(schema, perspective, node_hops)
     nodes = table.nodes
     by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
@@ -219,42 +237,52 @@ def build_agg(
     by_class: dict[tuple[str, str], list[tuple[tuple[str, ...], int]]] = {}
     for (items, attr), i in by_key.items():
         by_class.setdefault((items[-1], attr), []).append((items, i))
-    supports: dict[tuple[int, int], set[RelationalDependency]] = {}
-    pair_edges: dict[RelationalDependency, set[tuple[int, int]]] = {}
+    supports: dict[tuple[int, int], list[RelationalDependency]] = {}
+    pair_edges: dict[RelationalDependency, list[tuple[int, int]]] = {}
     adjacency: list[set[int]] = [set() for _ in nodes]
-    for dep in deps:
-        pair = canonical_pair(dep)
-        effect = (dep.effect.path.last, dep.effect.attribute)
+    for pair in sorted(pairs, key=str):  # so each edge's pairs come sorted
+        effect = (pair.effect.path.last, pair.effect.attribute)
         for q, v in by_class.get(effect, ()):
-            for items in compositions(q, dep.cause.path.items):
-                u = by_key.get((items, dep.cause.attribute))
+            for items in compositions(q, pair.cause.path.items):
+                u = by_key.get((items, pair.cause.attribute))
                 if u is not None:
                     edge = (min(u, v), max(u, v))
-                    supports.setdefault(edge, set()).add(pair)
-                    pair_edges.setdefault(pair, set()).add(edge)
+                    supports.setdefault(edge, []).append(pair)
+                    pair_edges.setdefault(pair, []).append(edge)
                     adjacency[u].add(v)
                     adjacency[v].add(u)
-    return Agg(
+    return Lifting(
         perspective=perspective,
         nodes=nodes,
         index=table.index,
         adjacency=tuple(frozenset(n) for n in adjacency),
-        edge_pairs={k: tuple(sorted(p, key=str)) for k, p in supports.items()},
-        pair_edges={p: tuple(sorted(e)) for p, e in pair_edges.items()},
-        parents=[0] * len(nodes),
-        children=[0] * len(nodes),
+        edge_pairs=MappingProxyType({k: tuple(p) for k, p in supports.items()}),
+        pair_edges=MappingProxyType(
+            {p: tuple(sorted(e)) for p, e in pair_edges.items()}
+        ),
     )
+
+
+def build_agg(dependencies, schema: Schema, perspective: str, node_hops: int) -> Agg:
+    """A perspective's graph: the shared ``lift`` of the pairs, undirected.
+
+    Dependencies are validated first, unless they come as a ``PairSet``.
+    """
+    if not isinstance(dependencies, PairSet):
+        dependencies = PairSet(_canonical_pairs(dependencies, schema))
+    lifted = lift(schema, perspective, node_hops, dependencies)
+    n = len(lifted.nodes)
+    return Agg(**vars(lifted), parents=[0] * n, children=[0] * n)
 
 
 def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
     """One graph per item class, all sharing one orientation registry."""
+    registry: Registry = _canonical_pairs(dependencies, schema)
+    pairs = PairSet(registry)
     aggs = {
-        perspective: build_agg(dependencies, schema, perspective, node_hops)
+        perspective: build_agg(pairs, schema, perspective, node_hops)
         for perspective in sorted(schema.item_classes)
     }
-    registry: Registry = dict.fromkeys(
-        canonical_pair(dep) for dep in sorted(set(dependencies), key=str)
-    )
     siblings: dict[frozenset, list[RelationalDependency]] = {}
     for pair in registry:
         siblings.setdefault(_classes(pair), []).append(pair)

@@ -14,7 +14,8 @@ checks a query only when it repeats an id (x equal to y, or x or y in z), on
 a memo miss.
 
 The exact oracle asks the fully directed lifted graphs of a known model
-(``oriented_agg``) for d-separation; the regression test averages each
+(``oriented_agg``) for d-separation; they share the learner's cached
+lifting and direct bits of their own. The regression test averages each
 variable over its terminal sets in skeleton data, one relational path at a
 time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
 of both learner phases; it counts its tests per label in a ``Counter`` and
@@ -30,7 +31,7 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse, special
 
-from .agg import Agg, NodeTable, bits, build_agg
+from .agg import Agg, NodeTable, PairSet, bits, build_agg
 from .model import RelationalModel, RelationalVariable, canonical_pair
 from .paths import RelationalPath, is_valid
 from .skeleton import Skeleton, terminal_sets
@@ -64,7 +65,7 @@ class OracleCI:
     """Exact relational d-separation over the true model's lifted graphs.
 
     One fully directed graph per perspective is built lazily at the oracle
-    hop threshold and cached; verdicts are memoized on its ids. The ids of
+    hop threshold and kept; verdicts are memoized on its ids. The ids of
     another table than the graph's (an oracle at other hops than the
     learner's) are translated through the graph's index on each query.
     """
@@ -74,15 +75,20 @@ class OracleCI:
             raise ValueError("hops must be >= 0")
         self.model = model
         self.hops = hops
+        # the model validated its dependencies; canonicalize them once
+        self._directions = [(canonical_pair(d), d) for d in model.dependencies]
+        self._pairs = PairSet(pair for pair, _ in self._directions)
         self._aggs: dict[str, Agg] = {}
         self._memo: dict[tuple, bool] = {}
 
     def _agg(self, perspective: str) -> Agg:
         agg = self._aggs.get(perspective)
         if agg is None:
-            agg = self._aggs[perspective] = oriented_agg(
-                self.model, perspective, self.hops
+            agg = self._aggs[perspective] = build_agg(
+                self._pairs, self.model.schema, perspective, self.hops
             )
+            for pair, d in self._directions:
+                agg.direct(pair, d)
         return agg
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:

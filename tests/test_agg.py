@@ -1,14 +1,25 @@
+import copy
 import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcd.agg import agg_to_dot, build_agg, build_all, orient, unshielded_triples
-from relcd.ci import oriented_agg
+from relcd import rcd
+from relcd.agg import (
+    agg_to_dot,
+    build_agg,
+    build_all,
+    lift,
+    orient,
+    unshielded_triples,
+)
+from relcd.ci import OracleCI, oriented_agg
 from relcd.errors import Infeasible
+from relcd.harness import generate_case
 from relcd.model import (
     RelationalVariable,
     canonical_pair,
@@ -313,6 +324,92 @@ def test_build_agg_edges_match_extend_reference(seed, num_entities, hops):
         agg = build_agg(deps, schema, perspective, hops)
         reference = _reference_edge_pairs(agg, deps, schema, hops)
         assert list(agg.edge_pairs.items()) == list(reference.items())
+
+
+@given(
+    seed=st.integers(0, 1500),
+    num_entities=st.integers(1, 3),
+    hops=st.integers(1, 5),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_lifting_is_symmetric(seed, num_entities, hops, pick):
+    # build_agg lifts only a dependency's canonical pair; the reference
+    # construction lifts whichever directions it is given, and must reach
+    # the same edges from either direction alone or from both
+    schema = random_schema(seed, num_entities)
+    deps = potential_dependencies(schema, min(hops, 3))
+    if not deps:
+        return
+    d = deps[pick % len(deps)]
+    pair = canonical_pair(d)
+    for perspective in sorted(schema.item_classes):
+        agg = build_agg([d], schema, perspective, hops)
+        for directions in ([d], [reverse_dependency(d)], [d, reverse_dependency(d)]):
+            mine = build_agg(directions, schema, perspective, hops)
+            reference = _reference_edge_pairs(agg, directions, schema, hops)
+            adjacency = [set() for _ in agg.nodes]
+            for i, j in reference:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+            assert mine.edge_pairs == reference
+            assert mine.adjacency == tuple(map(frozenset, adjacency))
+            expected = {pair: tuple(sorted(reference))} if reference else {}
+            assert mine.pair_edges == expected
+
+
+def _grid_case():
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 15, 0))
+    return generate_case(3, 15, 4, seq)
+
+
+def test_shared_lifting_keeps_direction_bits_per_graph():
+    schema, truth = _grid_case()
+    oracle = OracleCI(truth, hops=8)
+    survivors, _ = rcd.phase1(schema, oracle, rcd.LearnConfig())
+    first, second = (build_all(survivors, schema, 8) for _ in range(2))
+    oracle_bits = {}
+    for perspective in first.perspectives():
+        a, b = first.aggs[perspective], second.aggs[perspective]
+        o = oracle._agg(perspective)
+        for name in ("adjacency", "edge_pairs", "pair_edges"):
+            assert getattr(a, name) is getattr(b, name) is getattr(o, name)
+        own = {id(bits) for g in (a, b, o) for bits in (g.parents, g.children)}
+        assert len(own) == 6  # each graph has direction lists of its own
+        oracle_bits[perspective] = (list(o.parents), list(o.children))
+    pair = next(
+        p for p in first.registry if any(p in a.pair_edges for a in first.aggs.values())
+    )
+    assert orient(first, pair)
+    assert any(any(a.parents) for a in first.aggs.values())
+    for perspective, agg in second.aggs.items():
+        assert not any(agg.parents) and not any(agg.children)
+        oracle_agg = oracle._agg(perspective)
+        assert (oracle_agg.parents, oracle_agg.children) == oracle_bits[perspective]
+    # an oracle-grid pass lifts 1,200 graphs: far more than the cache holds,
+    # so no pass of the benchmark reads a lifting an earlier pass made
+    assert lift.cache_info().maxsize == 64
+
+
+def _structure(agg):
+    return agg.adjacency, list(agg.edge_pairs.items()), list(agg.pair_edges.items())
+
+
+@pytest.mark.parametrize("rbo_order", ["rbo_after_cd", "rbo_first", "rbo_last"])
+def test_learning_never_changes_a_shared_lifting(rbo_order):
+    schema, truth = _grid_case()
+    lifted = build_all(truth.dependencies, schema, 8)
+    before = {p: copy.deepcopy(_structure(a)) for p, a in lifted.aggs.items()}
+    config = rcd.LearnConfig(rbo_order=rbo_order, order_randomization=True, seed=5)
+    hits = lift.cache_info().hits
+    rcd.rcd_learn(schema, OracleCI(truth, hops=8), config)
+    assert lift.cache_info().hits >= hits + len(lifted.aggs)  # the learn shared them
+    for p, a in lifted.aggs.items():
+        assert _structure(a) == before[p]
+        # the learner shuffles the triples it is given, so each call makes a new list
+        triples = unshielded_triples(a)
+        assert triples is not unshielded_triples(a)
+        assert triples == sorted(triples, key=lambda t: (t[1], t[0], t[2]))
 
 
 @given(seed=st.integers(0, 1500))

@@ -42,6 +42,9 @@ def test_tracer_counts_every_query_of_an_oracle_learn(movie_truth):
     assert tracer.absent == UNUSED
     assert tracer.stats["ci.independent"]["calls"] == pattern.stats.total() > 0
     assert tracer.stats["ci.find_sepset"]["calls"] > 0
+    # the oracle lifts through ci.build_agg, the learner through rcd.build_all
+    assert tracer.stats["ci.oracle.build_agg"]["calls"] > 0
+    assert tracer.stats["agg.build_all"]["calls"] == 1
 
 
 def test_tracer_counts_every_query_of_a_data_vote(movie_data):

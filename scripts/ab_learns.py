@@ -4,11 +4,13 @@
 
 BASE_SRC and NEW_SRC are directories that each hold a ``relcd`` package
 (a checkout's ``src/``). Both trees are imported into one process, each
-under its own package name, and each draws the oracle-grid panel: entities
-{3, 4} x dependencies {10, 15}, 50 cases a cell, at entropy 0, learned with
-``OracleCI(hops=8)`` and the default ``LearnConfig``. A pass learns every
-case once with each tree, alternating the trees learn by learn, so both
-sample the same spells of the machine's speed; which tree goes first
+under its own package name. The panel is the benchmark's oracle-grid
+panel: the cells and cases a cell of ``perfbench/workloads.py``'s
+``OracleGrid`` (imported with BASE_SRC's ``relcd``), drawn at entropy 0 by
+each tree's own ``harness`` and learned, as ``OracleGrid.op`` learns them,
+with ``OracleCI(hops=8)`` and the default ``LearnConfig``. A pass learns
+every case once with each tree, alternating the trees learn by learn, so
+both sample the same spells of the machine's speed; which tree goes first
 alternates from case to case. Separate runs of one tree can differ by a
 quarter on a loaded machine, where interleaved passes agree far closer.
 
@@ -31,8 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-CELLS = ((3, 10), (3, 15), (4, 10), (4, 15))
-CASES_PER_CELL = 50
+REPO = Path(__file__).resolve().parents[1]
+
+
+def oracle_grid(src: Path) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The benchmark panel's (entities, dependencies) cells and cases a cell."""
+    sys.path[:0] = [str(REPO), str(src)]  # perfbench imports relcd
+    from perfbench.workloads import OracleGrid
+
+    return OracleGrid.cells, OracleGrid.unit_ops // len(OracleGrid.cells)
 
 
 def load_tree(src: Path, name: str):
@@ -50,14 +59,15 @@ def load_tree(src: Path, name: str):
             ("agg", "ci", "harness", "rcd")}
 
 
-def panel(tree):
+def panel(tree, cells, cases_per_cell):
+    """``OracleGrid.setup``'s cases, in panel order, from this tree's harness."""
     hops = tree["rcd"].LearnConfig().hop_threshold
     return [
         tree["harness"].generate_case(
             e, d, hops, np.random.SeedSequence(entropy=0, spawn_key=(e, d, t))
         )
-        for t in range(CASES_PER_CELL)
-        for e, d in CELLS
+        for t in range(cases_per_cell)
+        for e, d in cells
     ]
 
 
@@ -84,7 +94,8 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be >= 1")
     trees = [load_tree(args.base, "relcd_base"), load_tree(args.new, "relcd_new")]
-    cases = [panel(tree) for tree in trees]
+    cells, cases_per_cell = oracle_grid(args.base)
+    cases = [panel(tree, cells, cases_per_cell) for tree in trees]
     ratios = []
     for p in range(args.passes):
         seconds = [0.0, 0.0]

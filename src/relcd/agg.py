@@ -19,7 +19,6 @@ by Bayes-ball over those masks; the oracle backend queries it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -96,8 +95,8 @@ class Lifting(NodeTable):
     """
 
     adjacency: tuple[frozenset[int], ...]
-    edge_pairs: Mapping[tuple[int, int], tuple[RelationalDependency, ...]]
-    pair_edges: Mapping[RelationalDependency, tuple[tuple[int, int], ...]]
+    edge_pairs: MappingProxyType[tuple[int, int], tuple[RelationalDependency, ...]]
+    pair_edges: MappingProxyType[RelationalDependency, tuple[tuple[int, int], ...]]
 
     def is_adjacent(self, i: int, j: int) -> bool:
         return j in self.adjacency[i]
@@ -206,7 +205,7 @@ def _classes(pair: RelationalDependency) -> frozenset:
 
 
 class PairSet(frozenset):
-    """The canonical pairs of a validated dependency set."""
+    """A model's canonical pairs, validated by it: ``build_agg`` checks none."""
 
 
 def _canonical_pairs(dependencies, schema: Schema) -> Registry:
@@ -218,7 +217,7 @@ def _canonical_pairs(dependencies, schema: Schema) -> Registry:
 
 
 @lru_cache(maxsize=64)
-def lift(schema: Schema, perspective: str, node_hops: int, pairs: PairSet) -> Lifting:
+def lift(schema: Schema, perspective: str, node_hops: int, pairs: frozenset) -> Lifting:
     """Lift canonical dependency pairs into the graph seen from one perspective.
 
     Nodes are the attribute-bearing relational variables within the hop
@@ -238,7 +237,7 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: PairSet) -> Li
     for (items, attr), i in by_key.items():
         by_class.setdefault((items[-1], attr), []).append((items, i))
     supports: dict[tuple[int, int], list[RelationalDependency]] = {}
-    pair_edges: dict[RelationalDependency, list[tuple[int, int]]] = {}
+    edges_of: dict[RelationalDependency, list[tuple[int, int]]] = {}
     adjacency: list[set[int]] = [set() for _ in nodes]
     for pair in sorted(pairs, key=str):  # so each edge's pairs come sorted
         effect = (pair.effect.path.last, pair.effect.attribute)
@@ -248,7 +247,7 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: PairSet) -> Li
                 if u is not None:
                     edge = (min(u, v), max(u, v))
                     supports.setdefault(edge, []).append(pair)
-                    pair_edges.setdefault(pair, []).append(edge)
+                    edges_of.setdefault(pair, []).append(edge)
                     adjacency[u].add(v)
                     adjacency[v].add(u)
     return Lifting(
@@ -257,30 +256,28 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: PairSet) -> Li
         index=table.index,
         adjacency=tuple(frozenset(n) for n in adjacency),
         edge_pairs=MappingProxyType({k: tuple(p) for k, p in supports.items()}),
-        pair_edges=MappingProxyType(
-            {p: tuple(sorted(e)) for p, e in pair_edges.items()}
-        ),
+        pair_edges=MappingProxyType({p: tuple(sorted(e)) for p, e in edges_of.items()}),
     )
 
 
-def build_agg(dependencies, schema: Schema, perspective: str, node_hops: int) -> Agg:
-    """A perspective's graph: the shared ``lift`` of the pairs, undirected.
-
-    Dependencies are validated first, unless they come as a ``PairSet``.
-    """
-    if not isinstance(dependencies, PairSet):
-        dependencies = PairSet(_canonical_pairs(dependencies, schema))
-    lifted = lift(schema, perspective, node_hops, dependencies)
+def _undirected(lifted: Lifting) -> Agg:
     n = len(lifted.nodes)
     return Agg(**vars(lifted), parents=[0] * n, children=[0] * n)
+
+
+def build_agg(dependencies, schema: Schema, perspective: str, node_hops: int) -> Agg:
+    """Validate dependencies (unless a ``PairSet``); their ``lift``, fresh bits."""
+    if not isinstance(dependencies, PairSet):
+        dependencies = PairSet(_canonical_pairs(dependencies, schema))
+    return _undirected(lift(schema, perspective, node_hops, dependencies))
 
 
 def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
     """One graph per item class, all sharing one orientation registry."""
     registry: Registry = _canonical_pairs(dependencies, schema)
-    pairs = PairSet(registry)
+    pairs = frozenset(registry)
     aggs = {
-        perspective: build_agg(pairs, schema, perspective, node_hops)
+        perspective: _undirected(lift(schema, perspective, node_hops, pairs))
         for perspective in sorted(schema.item_classes)
     }
     siblings: dict[frozenset, list[RelationalDependency]] = {}

@@ -55,9 +55,11 @@ def check_query(
 
 def oriented_agg(model: RelationalModel, perspective: str, hops: int) -> Agg:
     """One perspective's lifted graph of a model, directed as the model is."""
-    agg = build_agg(model.dependencies, model.schema, perspective, hops)
-    for d in model.dependencies:
-        agg.direct(canonical_pair(d), d)
+    # the model validated its dependencies
+    pairs = {canonical_pair(d): d for d in model.dependencies}
+    agg = build_agg(PairSet(pairs), model.schema, perspective, hops)
+    for pair, d in pairs.items():
+        agg.direct(pair, d)
     return agg
 
 
@@ -75,20 +77,15 @@ class OracleCI:
             raise ValueError("hops must be >= 0")
         self.model = model
         self.hops = hops
-        # the model validated its dependencies; canonicalize them once
-        self._directions = [(canonical_pair(d), d) for d in model.dependencies]
-        self._pairs = PairSet(pair for pair, _ in self._directions)
         self._aggs: dict[str, Agg] = {}
         self._memo: dict[tuple, bool] = {}
 
     def _agg(self, perspective: str) -> Agg:
         agg = self._aggs.get(perspective)
         if agg is None:
-            agg = self._aggs[perspective] = build_agg(
-                self._pairs, self.model.schema, perspective, self.hops
+            agg = self._aggs[perspective] = oriented_agg(
+                self.model, perspective, self.hops
             )
-            for pair, d in self._directions:
-                agg.direct(pair, d)
         return agg
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:

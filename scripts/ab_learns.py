@@ -18,7 +18,11 @@ The script fails unless both trees give identical ``pattern_to_dict``
 outputs, CI-test counts included. It prints each pass's time per tree and
 their ratio (base / new; above 1 means the new tree is faster), then the
 median ratio. For a tree whose ``agg.lift`` is an ``lru_cache``, it also
-prints that cache's hits and misses within each pass.
+prints that cache's hits and misses within each pass. It prints each
+tree's Bayes-ball walks within each pass, counted by wrapping the tree's
+kernel method (``Agg.reach``, or ``Agg.d_separated`` in a tree without
+it). The wrapper costs each walk the same small time in both trees, so it
+slightly favours the tree that walks less.
 """
 
 from __future__ import annotations
@@ -85,6 +89,21 @@ def cache_counts(tree) -> tuple[int, int] | None:
     return None if info is None else info()[:2]
 
 
+def count_walks(tree) -> list[int]:
+    """Count calls of the tree's Bayes-ball kernel in the returned cell."""
+    agg = tree["agg"].Agg
+    name = "reach" if hasattr(agg, "reach") else "d_separated"
+    kernel = getattr(agg, name)
+    walks = [0]
+
+    def counted(self, *args):
+        walks[0] += 1
+        return kernel(self, *args)
+
+    setattr(agg, name, counted)
+    return walks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="the base tree's src directory")
@@ -96,10 +115,12 @@ def main(argv=None) -> int:
     trees = [load_tree(args.base, "relcd_base"), load_tree(args.new, "relcd_new")]
     cells, cases_per_cell = oracle_grid(args.base)
     cases = [panel(tree, cells, cases_per_cell) for tree in trees]
+    walks = [count_walks(tree) for tree in trees]
     ratios = []
     for p in range(args.passes):
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
+        walks_before = [w[0] for w in walks]
         for k in range(len(cases[0])):
             order = (0, 1) if (k + p) % 2 == 0 else (1, 0)
             outputs = [None, None]
@@ -114,10 +135,13 @@ def main(argv=None) -> int:
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
             f"ratio {ratios[-1]:.3f}"
         )
-        for label, tree, start in zip(("base", "new"), trees, before):
+        for label, tree, start, walked, start_walks in zip(
+            ("base", "new"), trees, before, walks, walks_before
+        ):
+            line += f"; {label} {walked[0] - start_walks} walks"
             if start is not None:
                 hits, misses = (a - b for a, b in zip(cache_counts(tree), start))
-                line += f"; {label} lift cache {hits} hits, {misses} misses"
+                line += f", lift cache {hits} hits, {misses} misses"
         print(line, flush=True)
     print(
         f"identical pattern_to_dict outputs on {len(cases[0])} cases"

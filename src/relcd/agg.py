@@ -13,8 +13,11 @@ set maps each pair to its current orientation; orienting a pair writes it
 there once and directs every supporting edge in every graph of the set at
 once, as bits in the per-run ``parents`` and ``children`` id bitmasks.
 
-A fully directed graph answers d-separation itself (``Agg.d_separated``),
-by Bayes-ball over those masks; the oracle backend queries it.
+A fully directed graph answers d-separation itself, by one Bayes-ball
+kernel over those masks: ``Agg.reach`` walks from a node and returns every
+node it reached, which are all d-connected to it; ``Agg.d_separated`` asks
+whether that includes the other endpoint. The oracle backend keeps each
+walk's result, so one walk answers many queries.
 """
 
 from __future__ import annotations
@@ -154,8 +157,8 @@ class Agg(Lifting):
         nodes = self.nodes
         return [(nodes[a], nodes[b], directed) for a, b, directed in sorted(out)]
 
-    def d_separated(self, x: int, y: int, in_z: int) -> bool:
-        """Whether no active trail joins node x to node y given the id mask Z.
+    def reach(self, x: int, in_z: int, y: int) -> int:
+        """The ids outside the id mask Z, x aside, that a walk from x reached.
 
         Reads a fully directed graph. Bayes-ball (Shachter 1998), one
         frontier level at a time: ``up`` holds nodes the ball reached from a
@@ -163,7 +166,12 @@ class Agg(Lifting):
         passes the ball on to its children, and to its parents when it came
         from a child; a node in Z sends a ball from a parent back up to its
         parents. That bounce opens every collider with a descendant in Z, so
-        anc(Z) is never built.
+        anc(Z) is never built. A node outside Z that the ball reached from a
+        child has passed it on wherever a ball from a parent would, so it is
+        not visited from a parent again. Every node the ball reaches outside
+        Z is d-connected to x given Z. The walk stops at the level that
+        reaches y; if y's bit is clear in the result, the walk ran out, and
+        the result is every node d-connected to x given Z.
         """
         parents, children = self.parents, self.children
         free, target = ~in_z, 1 << y
@@ -181,10 +189,14 @@ class Agg(Lifting):
                 down |= children[(drop & -drop).bit_length() - 1]
                 drop &= drop - 1
             up &= ~seen_up
-            down &= ~seen_down
+            down &= ~(seen_down | seen_up & free)
             if (up | down) & target:
-                return False
-        return True
+                break
+        return (seen_up | seen_down | up | down) & free & ~(1 << x)
+
+    def d_separated(self, x: int, y: int, in_z: int) -> bool:
+        """Whether no active trail joins node x to node y given the id mask Z."""
+        return not self.reach(x, in_z, y) >> y & 1
 
 
 @dataclass

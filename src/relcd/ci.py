@@ -10,12 +10,14 @@ hops share their ids (an oracle at other hops translates them). ``ask(backend,
 x, y, cond)`` is the one entry point by variable (``relcd dsep``, tests): it
 checks the query (``check_query``) and asks by the ids of a table of its own
 variables. A table holds only its perspective's variables, so a backend
-checks a query only when it repeats an id (x equal to y, or x or y in z), on
-a memo miss.
+checks a query only when it repeats an id (x equal to y, or x or y in z):
+the regression test on a memo miss, the oracle before it reads its memo.
 
 The exact oracle asks the fully directed lifted graphs of a known model
 (``oriented_agg``) for d-separation; they share the learner's cached
-lifting and direct bits of their own. The regression test averages each
+lifting and direct bits of their own. It memoizes Bayes-ball walks, not
+verdicts: a walk from y given Z answers (x, y | Z) for every x it reached,
+and for every x at all once it ran out. The regression test averages each
 variable over its terminal sets in skeleton data, one relational path at a
 time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
 of both learner phases; it counts its tests per label in a ``Counter`` and
@@ -67,9 +69,15 @@ class OracleCI:
     """Exact relational d-separation over the true model's lifted graphs.
 
     One fully directed graph per perspective is built lazily at the oracle
-    hop threshold and kept; verdicts are memoized on its ids. The ids of
-    another table than the graph's (an oracle at other hops than the
-    learner's) are translated through the graph's index on each query.
+    hop threshold and kept. The memo holds walks on its ids: under
+    (perspective, source, Z), the ids ``Agg.reach`` reached from the source
+    given Z, and whether that walk ran out (is complete). A query (x, y | Z)
+    is dependent if a walk from y reached x or one from x reached y, and
+    independent if a complete walk from either missed the other; otherwise
+    the oracle walks from y and stores that walk over any partial one.
+    Both verdicts are exact. The ids of another table than the graph's (an
+    oracle at other hops than the learner's) are translated through the
+    graph's index on each query.
     """
 
     def __init__(self, model: RelationalModel, hops: int = 8):
@@ -78,7 +86,8 @@ class OracleCI:
         self.model = model
         self.hops = hops
         self._aggs: dict[str, Agg] = {}
-        self._memo: dict[tuple, bool] = {}
+        # (perspective, source, z) -> (reached, complete): a walk's result
+        self._memo: dict[tuple, tuple[int, bool]] = {}
 
     def _agg(self, perspective: str) -> Agg:
         agg = self._aggs.get(perspective)
@@ -90,7 +99,7 @@ class OracleCI:
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:
         perspective = table.perspective
-        agg = self._agg(perspective)
+        agg = self._aggs.get(perspective) or self._agg(perspective)
         if table.nodes is not agg.nodes:
             nodes = [table.nodes[i] for i in (x, y, *bits(z))]
             mapped = [agg.index.get(v) for v in nodes]
@@ -98,14 +107,27 @@ class OracleCI:
                 check_query(perspective, nodes[0], nodes[1], frozenset(nodes[2:]))
                 raise ValueError(self._unknown(nodes[mapped.index(None)]))
             x, y, z = mapped[0], mapped[1], sum(1 << i for i in mapped[2:])
-        key = (perspective, x, y, z) if x < y else (perspective, y, x, z)
-        verdict = self._memo.get(key)
-        if verdict is None:
-            if x == y or (z >> x | z >> y) & 1:
-                cond = frozenset(agg.nodes[i] for i in bits(z))
-                check_query(perspective, agg.nodes[x], agg.nodes[y], cond)
-            verdict = self._memo[key] = agg.d_separated(x, y, z)
-        return verdict
+        # before the memo: a walk excludes Z, so it would call x in Z independent
+        if x == y or (z >> x | z >> y) & 1:
+            cond = frozenset(agg.nodes[i] for i in bits(z))
+            check_query(perspective, agg.nodes[x], agg.nodes[y], cond)
+        memo = self._memo
+        walk = memo.get((perspective, y, z))
+        if walk is not None:
+            if walk[0] >> x & 1:
+                return False
+            if walk[1]:
+                return True
+        walk = memo.get((perspective, x, z))
+        if walk is not None:
+            if walk[0] >> y & 1:
+                return False
+            if walk[1]:
+                return True
+        reached = agg.reach(y, z, x)
+        separated = not reached >> x & 1
+        memo[(perspective, y, z)] = (reached, separated)
+        return separated
 
     def _unknown(self, v: RelationalVariable) -> str:
         schema = self.model.schema  # a schema fault first, then the hop bound

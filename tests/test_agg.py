@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from relcd import rcd
 from relcd.agg import (
     agg_to_dot,
+    bits,
     build_agg,
     build_all,
     lift,
@@ -220,6 +221,36 @@ def test_snapshot_answers_every_small_query_like_networkx(seed):
     assert small
     for agg in small:
         _check_every_small_query(agg)
+
+
+@given(seed=st.integers(0, 1500), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_reach_is_the_d_connected_set(seed, data):
+    # a walk that never reaches its target returns every node outside Z
+    # d-connected to x; one that does returns some of them, the target included
+    schema = random_schema(seed, 2)
+    try:
+        model = random_model(schema, 1 + seed % 5, seed=seed, restarts=20)
+    except Infeasible:
+        return
+    perspective = data.draw(st.sampled_from(sorted(schema.item_classes)))
+    agg = oriented_agg(model, perspective, 3)
+    ids = range(len(agg.nodes))
+    x = data.draw(st.sampled_from(ids))
+    z = data.draw(st.sets(st.sampled_from(ids), max_size=3)) - {x}
+    mask = sum(1 << i for i in z)
+    g = lifted_digraph(agg)
+    connected = {
+        w for w in ids if w != x and w not in z and not nx.is_d_separator(g, {x}, {w}, z)
+    }
+    for y in ids:
+        if y == x or y in z:
+            continue
+        reached = set(bits(agg.reach(x, mask, y)))
+        if y in reached:
+            assert y in connected and reached <= connected
+        else:
+            assert reached == connected
 
 
 def test_snapshot_opens_a_collider_through_a_descendant_of_z():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcd
-from relcd.agg import NodeTable, bits, build_all, node_table
+from relcd.agg import Agg, NodeTable, bits, build_all, node_table
 from relcd.ci import (
     OracleCI,
     RegressionCI,
@@ -29,7 +31,7 @@ from relcd.rcd import LearnConfig, bivariate_orientation, collider_detection, ph
 from relcd.schema import AttributeClass, random_schema, schema_to_json
 from relcd.skeleton import ground_graph, random_skeleton, sample_data, save_skeleton
 from tests.conftest import CountingCI, propositional_model, single_entity_schema, var
-from tests.reference import digraph, terminal_set
+from tests.reference import digraph, lifted_digraph, terminal_set
 
 
 POP = var(["ACTOR"], "Popularity")
@@ -97,7 +99,7 @@ def test_oracle_counts_calls(movie_truth):
     assert ask(backend, POP, COSTAR_POP)
     assert ask(backend, COSTAR_POP, POP)
     assert backend.calls == 2
-    # both orders share one memo entry, so the memo counts the misses
+    # the first query's walk ran out, so it answers the reversed query
     assert len(oracle._memo) == 1
 
 
@@ -112,8 +114,84 @@ def test_oracle_translates_other_tables(movie_truth):
             table, i[COSTAR_POP], i[POP], 1 << i[SUCCESS_VIA_ACTOR]
         )
     assert not ask(oracle, POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,)))
-    # one memo entry per verdict, whichever table asked
+    # one memo entry per walk, whichever table asked
     assert len(oracle._memo) == 2
+
+
+@pytest.mark.parametrize("own", [True, False])
+def test_cached_walk_never_answers_an_invalid_query(movie_truth, own):
+    # a complete walk from OTHER_SUCCESS given POP_VIA_MOVIE misses every id
+    # in that Z and the walk's own source, so only the query check, run
+    # before the memo, can refuse these queries; by the oracle's own ids and
+    # through a table it translates
+    oracle = OracleCI(movie_truth, hops=8)
+    table = node_table(movie_truth.schema, "MOVIE", 8 if own else 4)
+    i = table.index
+    z = 1 << i[POP_VIA_MOVIE]
+    assert oracle.independent(table, i[SUCCESS], i[OTHER_SUCCESS], z)
+    mine = oracle._agg("MOVIE").index
+    reached, complete = oracle._memo[("MOVIE", mine[OTHER_SUCCESS], 1 << mine[POP_VIA_MOVIE])]
+    assert complete and not reached >> mine[SUCCESS] & 1
+    invalid = [
+        (i[POP_VIA_MOVIE], i[OTHER_SUCCESS], "conditioning set must exclude"),
+        (i[OTHER_SUCCESS], i[POP_VIA_MOVIE], "conditioning set must exclude"),
+        (i[OTHER_SUCCESS], i[OTHER_SUCCESS], "query variables must differ"),
+    ]
+    for x, y, message in invalid:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                oracle.independent(table, x, y, z)
+    assert len(oracle._memo) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_walk_memo_answers_like_networkx(seed, monkeypatch):
+    # every disjoint (x, y, Z) with |Z| <= 2, both ways round, twice, in a
+    # shuffled order, so that partial walks, complete walks and misses all
+    # answer; a walk runs exactly on a miss
+    walks = []
+    reach = Agg.reach
+
+    def counted(agg, *args):
+        walks.append(args)
+        return reach(agg, *args)
+
+    monkeypatch.setattr(Agg, "reach", counted)
+    schema = random_schema(seed, 2)
+    model = random_model(schema, 4, seed=seed, restarts=20)
+    oracle = OracleCI(model, hops=3)
+    answered = Counter()
+    for perspective in sorted(schema.item_classes):
+        agg = oracle._agg(perspective)
+        if len(agg.nodes) > 11:
+            continue
+        g = lifted_digraph(agg)
+        ids = range(len(agg.nodes))
+        queries = [
+            (x, y, z)
+            for x, y in itertools.permutations(ids, 2)
+            for size in range(3)
+            for z in itertools.combinations([i for i in ids if i not in (x, y)], size)
+        ]
+        queries *= 2
+        random.Random(seed).shuffle(queries)
+        for x, y, z in queries:
+            mask = sum(1 << i for i in z)
+            entries = [
+                (oracle._memo.get((perspective, a, mask)), b) for a, b in ((y, x), (x, y))
+            ]
+            if any(e and e[0] >> b & 1 and not e[1] for e, b in entries):
+                kind = "partial"
+            elif any(e and e[1] for e, _ in entries):
+                kind = "complete"
+            else:
+                kind = "miss"
+            walked = len(walks)
+            mine = oracle.independent(agg, x, y, mask)
+            assert mine == nx.is_d_separator(g, {x}, {y}, set(z)), (x, y, z)
+            assert len(walks) - walked == (kind == "miss"), (x, y, z, kind)
+            answered[kind] += 1
+    assert answered["partial"] and answered["complete"] and answered["miss"]
 
 
 @given(seed=st.integers(0, 2000))

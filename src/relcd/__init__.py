@@ -4,7 +4,6 @@ from .agg import (
     Agg,
     AggSet,
     agg_to_dot,
-    build_agg,
     build_all,
     orient,
     unshielded_triples,

@@ -4,14 +4,17 @@ Each perspective gets a graph over the relational variables reachable from
 it, interned as integer ids in ``variable_key`` order by ``node_table``,
 once per (schema, perspective, hops): adjacency, edges, triples, the
 orientation rules and CI queries work on those ids, so sorting ids sorts
-variables canonically. A single canonical dependency can support many edges
-within and across these graphs: every edge carries the unordered dependency
-pairs that produced it, and each graph knows the edges of each pair. This
-structure, a ``Lifting``, is cached by ``lift``, so the oracle and the
-learner share it, and so do a vote's runs. A registry shared by the whole
-set maps each pair to its current orientation; orienting a pair writes it
-there once and directs every supporting edge in every graph of the set at
-once, as bits in the per-run ``parents`` and ``children`` id bitmasks.
+variables canonically. They are lifted from canonical dependency pairs (a
+dependency and its reverse are one pair), which ``build_all`` validates
+and canonicalizes once and a model carries (``RelationalModel.pairs``);
+``build_agg`` lifts pairs unchecked. A pair can support many edges within
+and across these graphs: every edge carries the pairs that produced it,
+and each graph knows the edges of each pair. This structure, a
+``Lifting``, is cached by ``lift``, so the oracle and the learner share
+it, and so do a vote's runs. A registry shared by the whole set maps each
+pair to its current orientation; orienting a pair writes it there once and
+directs every supporting edge in every graph of the set at once, as bits
+in the per-run ``parents`` and ``children`` id bitmasks.
 
 A fully directed graph answers d-separation itself, by one Bayes-ball
 kernel over those masks: ``Agg.reach`` walks from a node and returns every
@@ -30,13 +33,12 @@ from .model import (
     RelationalDependency,
     RelationalVariable,
     canonical_pair,
+    reverse_dependency,
     validate_dependency,
     variable_key,
 )
 from .paths import compositions, enumerate_paths
 from .schema import Schema
-
-Registry = dict  # canonical pair -> oriented RelationalDependency | None
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,8 @@ class Agg(Lifting):
 @dataclass
 class AggSet:
     aggs: dict[str, Agg]
-    registry: Registry
+    # canonical pair -> its oriented dependency, None while unoriented
+    registry: dict[RelationalDependency, RelationalDependency | None]
     # attribute-class pair -> the registry pairs relating it, in registry order
     siblings: dict[frozenset, list[RelationalDependency]]
     conflicts: list[str] = field(default_factory=list)
@@ -214,18 +217,6 @@ class AggSet:
 
 def _classes(pair: RelationalDependency) -> frozenset:
     return frozenset((pair.cause.attribute_class, pair.effect.attribute_class))
-
-
-class PairSet(frozenset):
-    """A model's canonical pairs, validated by it: ``build_agg`` checks none."""
-
-
-def _canonical_pairs(dependencies, schema: Schema) -> Registry:
-    """Validate dependencies; their pairs, by the text of the first naming each."""
-    deps = sorted(set(dependencies), key=str)
-    for dep in deps:
-        validate_dependency(dep, schema)
-    return dict.fromkeys(map(canonical_pair, deps))
 
 
 @lru_cache(maxsize=64)
@@ -272,24 +263,26 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: frozenset) -> 
     )
 
 
-def _undirected(lifted: Lifting) -> Agg:
+def build_agg(pairs, schema: Schema, perspective: str, node_hops: int) -> Agg:
+    """The ``lift`` of canonical pairs, unchecked, with fresh direction bits."""
+    lifted = lift(schema, perspective, node_hops, frozenset(pairs))
     n = len(lifted.nodes)
     return Agg(**vars(lifted), parents=[0] * n, children=[0] * n)
 
 
-def build_agg(dependencies, schema: Schema, perspective: str, node_hops: int) -> Agg:
-    """Validate dependencies (unless a ``PairSet``); their ``lift``, fresh bits."""
-    if not isinstance(dependencies, PairSet):
-        dependencies = PairSet(_canonical_pairs(dependencies, schema))
-    return _undirected(lift(schema, perspective, node_hops, dependencies))
-
-
 def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
-    """One graph per item class, all sharing one orientation registry."""
-    registry: Registry = _canonical_pairs(dependencies, schema)
+    """Validate dependencies; one graph per item class, sharing one registry.
+
+    The registry holds each dependency's canonical pair, in the text order
+    of the first dependency naming it.
+    """
+    deps = sorted(set(dependencies), key=str)
+    for dep in deps:
+        validate_dependency(dep, schema)
+    registry = dict.fromkeys(map(canonical_pair, deps))
     pairs = frozenset(registry)
     aggs = {
-        perspective: _undirected(lift(schema, perspective, node_hops, pairs))
+        perspective: build_agg(pairs, schema, perspective, node_hops)
         for perspective in sorted(schema.item_classes)
     }
     siblings: dict[frozenset, list[RelationalDependency]] = {}
@@ -308,10 +301,13 @@ def orient(
     the state of a sibling pair over the same attribute classes is recorded
     as a conflict and ignored (first orientation wins).
     """
-    pair = canonical_pair(dependency)
-    if pair not in agg_set.registry:
+    registry = agg_set.registry
+    # its keys are canonical pairs: the dependency, or else its reverse
+    # (reverse_dependency refuses a dependency that is not canonical)
+    pair = dependency if dependency in registry else reverse_dependency(dependency)
+    if pair not in registry:
         raise ValueError(f"unknown dependency {dependency}")
-    current = agg_set.registry[pair]
+    current = registry[pair]
     if current is not None:
         if current == dependency:
             return False
@@ -321,7 +317,7 @@ def orient(
         return False
     # the pair is among its own siblings, harmlessly: it is unoriented here
     for sibling in agg_set.siblings[_classes(pair)]:
-        oriented = agg_set.registry[sibling]
+        oriented = registry[sibling]
         if (
             oriented is not None
             and oriented.cause.attribute_class != dependency.cause.attribute_class
@@ -331,7 +327,7 @@ def orient(
                 f"{oriented}"
             )
             return False
-    agg_set.registry[pair] = dependency
+    registry[pair] = dependency
     for agg in agg_set.aggs.values():
         agg.direct(pair, dependency)
     if rule is not None:

@@ -14,7 +14,8 @@ checks a query only when it repeats an id (x equal to y, or x or y in z):
 the regression test on a memo miss, the oracle before it reads its memo.
 
 The exact oracle asks the fully directed lifted graphs of a known model
-(``oriented_agg``) for d-separation; they share the learner's cached
+(``oriented_agg``) for d-separation; they lift the canonical pairs the
+model carries (``RelationalModel.pairs``), share the learner's cached
 lifting and direct bits of their own. It memoizes Bayes-ball walks, not
 verdicts: a walk from y given Z answers (x, y | Z) for every x it reached,
 and for every x at all once it ran out. The regression test averages each
@@ -33,8 +34,8 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse, special
 
-from .agg import Agg, NodeTable, PairSet, bits, build_agg
-from .model import RelationalModel, RelationalVariable, canonical_pair
+from .agg import Agg, NodeTable, bits, build_agg
+from .model import RelationalModel, RelationalVariable
 from .paths import RelationalPath, is_valid
 from .skeleton import Skeleton, terminal_sets
 
@@ -57,9 +58,8 @@ def check_query(
 
 def oriented_agg(model: RelationalModel, perspective: str, hops: int) -> Agg:
     """One perspective's lifted graph of a model, directed as the model is."""
-    # the model validated its dependencies
-    pairs = {canonical_pair(d): d for d in model.dependencies}
-    agg = build_agg(PairSet(pairs), model.schema, perspective, hops)
+    pairs = model.pairs  # validated and canonicalized once, by the model
+    agg = build_agg(pairs, model.schema, perspective, hops)
     for pair, d in pairs.items():
         agg.direct(pair, d)
     return agg

@@ -3,13 +3,16 @@
 A relational variable pairs a path with an attribute of the path's final
 class. A canonical dependency points from a cause variable to an effect
 variable whose path is a singleton; models are acyclic sets of canonical
-dependencies over a schema.
+dependencies over a schema. A dependency and its reverse form one pair,
+represented by ``canonical_pair``; a model maps its pairs to its
+dependencies once (``RelationalModel.pairs``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +105,14 @@ class RelationalModel:
             if _closes_cycle(edges, cause, effect):
                 raise ValueError("model has a cyclic class dependency graph")
             edges.setdefault(cause, set()).add(effect)
+
+    @cached_property
+    def pairs(self) -> dict[RelationalDependency, RelationalDependency]:
+        """Each dependency's canonical pair mapped to it, in text order.
+
+        An acyclic model never holds both directions of a pair.
+        """
+        return {canonical_pair(d): d for d in self.dependencies}
 
 
 def potential_dependencies(

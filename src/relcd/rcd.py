@@ -24,7 +24,6 @@ from .ci import find_sepset
 from .model import (
     RelationalDependency,
     RelationalVariable,
-    canonical_pair,
     potential_dependencies,
     reverse_dependency,
 )
@@ -50,17 +49,30 @@ class LearnConfig:
 
 @dataclass(frozen=True)
 class LearnedPattern:
+    """A learned pattern: each canonical pair and its orientation.
+
+    ``orientation`` maps every learned pair to the direction it was
+    oriented in, or to None while it stays undirected; ``directed`` and
+    ``undirected`` list the two kinds, each sorted by text.
+    """
+
     schema: Schema
-    directed: tuple[RelationalDependency, ...]
-    undirected: tuple[RelationalDependency, ...]  # canonical pairs
+    orientation: dict[RelationalDependency, RelationalDependency | None]
     stats: Counter  # CI tests per label
     attribution: dict[RelationalDependency, str]
     conflicts: tuple[str, ...]
 
-    def __post_init__(self):
-        # callers may pass any iterables; both are stored as tuples sorted by text
-        for name in ("directed", "undirected"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name), key=str)))
+    @property
+    def directed(self) -> tuple[RelationalDependency, ...]:
+        return tuple(
+            sorted((d for d in self.orientation.values() if d is not None), key=str)
+        )
+
+    @property
+    def undirected(self) -> tuple[RelationalDependency, ...]:
+        return tuple(
+            sorted((p for p, d in self.orientation.items() if d is None), key=str)
+        )
 
     @property
     def rule_counts(self) -> dict[str, int]:
@@ -70,9 +82,7 @@ class LearnedPattern:
 
     def pairs(self) -> frozenset[RelationalDependency]:
         """Canonical pair representatives of every learned dependency."""
-        return frozenset(self.undirected).union(
-            canonical_pair(d) for d in self.directed
-        )
+        return frozenset(self.orientation)
 
 
 def phase1(
@@ -317,11 +327,9 @@ def rcd_learn(schema: Schema, ci_backend, config: LearnConfig) -> LearnedPattern
         collider_detection(agg_set, sepsets, ci_backend, config, **args)
         bivariate_orientation(agg_set, sepsets, ci_backend, config, **args)
         meek_rules(agg_set)
-    registry = agg_set.registry
     return LearnedPattern(
         schema=schema,
-        directed=[d for d in registry.values() if d is not None],
-        undirected=[pair for pair, d in registry.items() if d is None],
+        orientation=dict(agg_set.registry),
         stats=stats,
         attribution=dict(agg_set.attribution),
         conflicts=tuple(agg_set.conflicts),
@@ -359,15 +367,13 @@ def majority_vote(
         pattern = rcd_learn(schema, ci_backend, run_config)
         stats.update(pattern.stats)
         conflicts.extend(pattern.conflicts)
-        for pair in pattern.pairs():
+        for pair, dep in pattern.orientation.items():
             presence[pair] += 1
-        for dep in pattern.directed:
-            direction[dep] += 1
-            pair = canonical_pair(dep)
-            rule_votes.setdefault(pair, Counter())[pattern.attribution[pair]] += 1
+            if dep is not None:
+                direction[dep] += 1
+                rule_votes.setdefault(pair, Counter())[pattern.attribution[pair]] += 1
     eps = 1e-9
-    directed = []
-    undirected = []
+    orientation: dict[RelationalDependency, RelationalDependency | None] = {}
     attribution: dict[RelationalDependency, str] = {}
     for pair, count in presence.items():
         if count / runs + eps < threshold:
@@ -376,17 +382,15 @@ def majority_vote(
         winners = [
             d for d in (pair, rev) if direction.get(d, 0) / count + eps >= threshold
         ]
+        orientation[pair] = None
         if len(winners) == 1:
-            directed.append(winners[0])
+            orientation[pair] = winners[0]
             attribution[pair] = sorted(
                 rule_votes[pair].items(), key=lambda kv: (-kv[1], kv[0])
             )[0][0]
-        else:
-            undirected.append(pair)
     return LearnedPattern(
         schema=schema,
-        directed=directed,
-        undirected=undirected,
+        orientation=orientation,
         stats=stats,
         attribution=attribution,
         conflicts=tuple(conflicts),
@@ -394,18 +398,14 @@ def majority_vote(
 
 
 def pattern_to_dict(pattern: LearnedPattern) -> dict:
-    deps = []
-    for dep in pattern.directed:
-        pair = canonical_pair(dep)
-        deps.append(
-            {
-                "dependency": str(dep),
-                "status": "directed",
-                "rule": pattern.attribution.get(pair, ""),
-            }
-        )
-    for pair in pattern.undirected:
-        deps.append({"dependency": str(pair), "status": "undirected", "rule": ""})
+    deps = [
+        {
+            "dependency": str(pair if dep is None else dep),
+            "status": "undirected" if dep is None else "directed",
+            "rule": pattern.attribution.get(pair, ""),
+        }
+        for pair, dep in pattern.orientation.items()
+    ]
     deps.sort(key=lambda d: d["dependency"])
     return {
         "dependencies": deps,

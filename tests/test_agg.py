@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -24,6 +25,7 @@ from relcd.harness import generate_case
 from relcd.model import (
     RelationalVariable,
     canonical_pair,
+    parse_dependency,
     potential_dependencies,
     random_model,
     reverse_dependency,
@@ -119,9 +121,18 @@ def test_conflicting_orientation_logged_and_ignored(movie_truth):
 
 
 def test_orient_unknown_dependency(movie_schema, movie_truth):
-    agg_set = build_all((), movie_schema, 4)
-    with pytest.raises(ValueError):
-        orient(agg_set, movie_truth.dependencies[0])
+    for known, dependency, message in [
+        ((), movie_truth.dependencies[0], "unknown dependency"),
+        # not canonical, although the registry holds its pair's other form
+        (
+            movie_truth.dependencies,
+            parse_dependency("[ACTOR].Popularity -> [ACTOR, STARS-IN, MOVIE].Success"),
+            "dependency is not canonical",
+        ),
+    ]:
+        agg_set = build_all(known, movie_schema, 4)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            orient(agg_set, dependency)
 
 
 def test_unshielded_triples_movie(movie_truth):
@@ -351,8 +362,9 @@ def _reference_edge_pairs(agg, dependencies, schema, hops):
 def test_build_agg_edges_match_extend_reference(seed, num_entities, hops):
     schema = random_schema(seed, num_entities)
     deps = potential_dependencies(schema, min(hops, 3))
+    aggs = build_all(deps, schema, hops).aggs
     for perspective in sorted(schema.item_classes):
-        agg = build_agg(deps, schema, perspective, hops)
+        agg = aggs[perspective]
         reference = _reference_edge_pairs(agg, deps, schema, hops)
         assert list(agg.edge_pairs.items()) == list(reference.items())
 
@@ -365,7 +377,7 @@ def test_build_agg_edges_match_extend_reference(seed, num_entities, hops):
 )
 @settings(max_examples=25, deadline=None)
 def test_lifting_is_symmetric(seed, num_entities, hops, pick):
-    # build_agg lifts only a dependency's canonical pair; the reference
+    # build_all lifts only a dependency's canonical pair; the reference
     # construction lifts whichever directions it is given, and must reach
     # the same edges from either direction alone or from both
     schema = random_schema(seed, num_entities)
@@ -375,9 +387,9 @@ def test_lifting_is_symmetric(seed, num_entities, hops, pick):
     d = deps[pick % len(deps)]
     pair = canonical_pair(d)
     for perspective in sorted(schema.item_classes):
-        agg = build_agg([d], schema, perspective, hops)
+        agg = build_all([d], schema, hops).aggs[perspective]
         for directions in ([d], [reverse_dependency(d)], [d, reverse_dependency(d)]):
-            mine = build_agg(directions, schema, perspective, hops)
+            mine = build_all(directions, schema, hops).aggs[perspective]
             reference = _reference_edge_pairs(agg, directions, schema, hops)
             adjacency = [set() for _ in agg.nodes]
             for i, j in reference:

@@ -103,6 +103,30 @@ def test_oracle_counts_calls(movie_truth):
     assert len(oracle._memo) == 1
 
 
+def test_oracle_canonicalizes_each_dependency_once(monkeypatch):
+    # the model carries its pairs, so an oracle that lifts every perspective
+    # canonicalizes each dependency once, not once per perspective
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(4, 15, 0))
+    schema, truth = generate_case(4, 15, 4, seq)
+    calls = []
+    canonical_pair = relcd.model.canonical_pair
+
+    def counted(dep):
+        calls.append(dep)
+        return canonical_pair(dep)
+
+    for module in (relcd.model, relcd.agg, relcd.ci, relcd.rcd, relcd.harness):
+        if hasattr(module, "canonical_pair"):
+            monkeypatch.setattr(module, "canonical_pair", counted)
+    oracle = OracleCI(truth, hops=8)
+    perspectives = sorted(schema.item_classes)
+    for perspective in perspectives:
+        table = node_table(schema, perspective, 8)
+        oracle.independent(table, 0, len(table.nodes) - 1)
+    assert len(oracle._aggs) == len(perspectives) == 7
+    assert calls == list(truth.dependencies)
+
+
 def test_oracle_translates_other_tables(movie_truth):
     oracle = OracleCI(movie_truth, hops=8)
     own = node_table(movie_truth.schema, "ACTOR", 8)

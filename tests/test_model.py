@@ -230,6 +230,18 @@ def test_canonical_pair_representative():
     assert canonical_pair(d) == canonical_pair(reverse_dependency(d))
 
 
+def test_model_pairs_map_canonical_pairs_to_dependencies():
+    schema = random_schema(0, 3)
+    model = random_model(schema, 5, seed=0, restarts=20)
+    pairs = model.pairs
+    assert list(pairs.items()) == [(canonical_pair(d), d) for d in model.dependencies]
+    assert list(model.dependencies) == sorted(model.dependencies, key=str)
+    # both kinds occur: dependencies that are their pair's form, and others
+    assert any(p == d for p, d in pairs.items())
+    assert any(p != d for p, d in pairs.items())
+    assert model.pairs is pairs
+
+
 def test_model_json_round_trip(movie_truth):
     assert model_from_json(model_to_json(movie_truth)) == movie_truth
 

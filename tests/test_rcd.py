@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import count
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from relcd.rcd import (
     phase1,
     rcd_learn,
 )
-from relcd.schema import random_schema
+from relcd.schema import Cardinality, random_schema
 from relcd.skeleton import ground_graph, random_skeleton, sample_data
 from tests.conftest import (
     CountingCI,
@@ -495,3 +496,24 @@ def test_oracle_at_other_hops_is_pinned(case, hops, expected):
     assert doc["stats"]["ci_tests"] == ci_tests
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+def test_regression_vote_is_pinned():
+    # data-vote's model: the first draw of generate_case(3, 5, 4) at entropy
+    # 0 whose relationships are all MANY/MANY; 200 instances an entity at
+    # link density 2, seed 1 for skeleton, values and vote. Its runs refuse
+    # orientations, so the pin covers the shuffled pools and triples too.
+    for k in count():
+        seq = np.random.SeedSequence(entropy=0, spawn_key=(k,))
+        schema, truth = generate_case(3, 5, 4, seq)
+        if all(Cardinality.ONE not in rel.cards for rel in schema.relationships):
+            break
+    skel = random_skeleton(schema, dict.fromkeys(schema.entity_names, 200), 2.0, seed=1)
+    backend = RegressionCI(skel.with_values(sample_data(ground_graph(truth, skel), seed=1)))
+    pattern = majority_vote(schema, backend, LearnConfig(seed=1), runs=5)
+    doc = pattern_to_dict(pattern)
+    assert doc["stats"]["ci_tests"] == {"phase1": 628, "phase2_cd": 67}
+    assert backend.outcomes == {}
+    assert len(doc["conflicts"]) == 18 and len(doc["dependencies"]) == 7
+    text = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == "6c00e729814d4271"

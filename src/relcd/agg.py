@@ -4,9 +4,11 @@ Each perspective gets a graph over the relational variables reachable from
 it, interned as integer ids in ``variable_key`` order by ``node_table``,
 once per (schema, perspective, hops): adjacency, edges, triples, the
 orientation rules and CI queries work on those ids, so sorting ids sorts
-variables canonically. They are lifted from canonical dependency pairs (a
-dependency and its reverse are one pair), which ``build_all`` validates
-and canonicalizes once and a model carries (``RelationalModel.pairs``);
+variables canonically. A set of ids is an ``int`` bitmask throughout:
+adjacency, search pools, conditioning and separating sets, directions.
+The graphs are lifted from canonical dependency pairs (a dependency and
+its reverse are one pair), which ``build_all`` validates and
+canonicalizes once and a model carries (``RelationalModel.pairs``);
 ``build_agg`` lifts pairs unchecked. A pair can support many edges within
 and across these graphs: every edge carries the pairs that produced it,
 and each graph knows the edges of each pair. This structure, a
@@ -90,7 +92,7 @@ def bits(mask: int) -> list[int]:
 class Lifting(NodeTable):
     """A dependency set lifted into one perspective: what no run changes.
 
-    ``adjacency[i]`` is the set of ids adjacent to node ``i``, and
+    ``adjacency[i]`` is the id mask of the nodes adjacent to node ``i``, and
     ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the canonical
     dependency pairs that support it, in text order; ``pair_edges`` maps
     each pair back to its edges. Distinct pairs can support one edge when
@@ -99,12 +101,9 @@ class Lifting(NodeTable):
     stays well defined. ``lift`` shares liftings, so all of it is read-only.
     """
 
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[int, ...]
     edge_pairs: MappingProxyType[tuple[int, int], tuple[RelationalDependency, ...]]
     pair_edges: MappingProxyType[RelationalDependency, tuple[tuple[int, int], ...]]
-
-    def is_adjacent(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
 
     def pairs_of(self, i: int, j: int) -> tuple[RelationalDependency, ...]:
         """The dependency pairs supporting edge i - j, in either order."""
@@ -241,7 +240,7 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: frozenset) -> 
         by_class.setdefault((items[-1], attr), []).append((items, i))
     supports: dict[tuple[int, int], list[RelationalDependency]] = {}
     edges_of: dict[RelationalDependency, list[tuple[int, int]]] = {}
-    adjacency: list[set[int]] = [set() for _ in nodes]
+    adjacency = [0] * len(nodes)
     for pair in sorted(pairs, key=str):  # so each edge's pairs come sorted
         effect = (pair.effect.path.last, pair.effect.attribute)
         for q, v in by_class.get(effect, ()):
@@ -251,13 +250,13 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: frozenset) -> 
                     edge = (min(u, v), max(u, v))
                     supports.setdefault(edge, []).append(pair)
                     edges_of.setdefault(pair, []).append(edge)
-                    adjacency[u].add(v)
-                    adjacency[v].add(u)
+                    adjacency[u] |= 1 << v
+                    adjacency[v] |= 1 << u
     return Lifting(
         perspective=perspective,
         nodes=nodes,
         index=table.index,
-        adjacency=tuple(frozenset(n) for n in adjacency),
+        adjacency=tuple(adjacency),
         edge_pairs=MappingProxyType({k: tuple(p) for k, p in supports.items()}),
         pair_edges=MappingProxyType({p: tuple(sorted(e)) for p, e in edges_of.items()}),
     )
@@ -341,13 +340,12 @@ def unshielded_triples(agg: Agg):
     Emitted in canonical order: middles ascending, then endpoint pairs
     ascending with x < z.
     """
+    adjacency = agg.adjacency
     out = []
-    for y, adjacent in enumerate(agg.adjacency):
-        nbrs = sorted(adjacent)
-        for i, x in enumerate(nbrs):
-            for z in nbrs[i + 1 :]:
-                if not agg.is_adjacent(x, z):
-                    out.append((x, y, z))
+    for y, nbrs in enumerate(adjacency):
+        for x in bits(nbrs):
+            for z in bits(nbrs & ~adjacency[x] & -(2 << x)):  # ids above x
+                out.append((x, y, z))
     return out
 
 

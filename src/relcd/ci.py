@@ -21,8 +21,9 @@ verdicts: a walk from y given Z answers (x, y | Z) for every x it reached,
 and for every x at all once it ran out. The regression test averages each
 variable over its terminal sets in skeleton data, one relational path at a
 time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
-of both learner phases; it counts its tests per label in a ``Counter`` and
-records nothing (the learner keeps one dict of separating sets).
+of both learner phases, over a pool given as an id mask; it counts its tests
+per label in a ``Counter`` and records nothing (the learner keeps one dict
+of separating sets).
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def find_sepset(
     table: NodeTable,
     x: int,
     y: int,
-    candidate_pool,
+    pool: int,
     sizes: range,
     *,
     stats: Counter | None,
@@ -282,20 +283,19 @@ def find_sepset(
 ) -> int | None:
     """First separating set among pool subsets whose size lies in ``sizes``.
 
-    ``x``, ``y`` and the pool are ids of ``table``, and a set is an id
-    bitmask. Subsets are tried by size, each size in canonical (id) order, or
-    in a per-run permutation of the pool when ``rng`` is given. The search
-    records nothing; the caller keeps what it finds. Sizes beyond the pool
-    are skipped, and a search with no size left returns None before it
-    draws from ``rng``.
+    ``x`` and ``y`` are ids of ``table``; the pool, like every set here, is
+    an id bitmask, and its bits of x and y are ignored. Subsets are tried by
+    size, each size in canonical (id) order, or in a per-run permutation of
+    the pool when ``rng`` is given. The search records nothing; the caller
+    keeps what it finds. Sizes beyond the pool are skipped, and a search
+    with no size left returns None before it draws from ``rng``.
     """
-    pool = sorted(set(candidate_pool) - {x, y})
-    sizes = [size for size in sizes if size <= len(pool)]
+    masks = [1 << i for i in bits(pool & ~(1 << x | 1 << y))]
+    sizes = [size for size in sizes if size <= len(masks)]
     if not sizes:
         return None
     if rng is not None:
-        rng.shuffle(pool)
-    masks = [1 << i for i in pool]
+        rng.shuffle(masks)
     for size in sizes:
         for combo in combinations(masks, size):
             z = sum(combo)

@@ -19,6 +19,8 @@ from .model import RelationalModel, random_model
 from .rcd import RULES, LearnConfig, LearnedPattern, rcd_learn
 from .schema import Schema, random_schema
 
+MAX_ATTEMPTS = 50_000  # generate_case's draws before it gives up
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -86,16 +88,16 @@ def generate_case(
     num_deps: int,
     hop_threshold: int,
     seed_seq: np.random.SeedSequence,
-    max_attempts: int = 50_000,
 ) -> tuple[Schema, RelationalModel]:
     """Draw (schema, model) pairs until the dependency count is placeable.
 
     Small schemas often cannot host many dependencies (a single entity
     needs enough attributes), so infeasible draws are discarded and
-    resampled; the trial distribution is conditioned on feasibility.
+    resampled, at most ``MAX_ATTEMPTS`` times; the trial distribution is
+    conditioned on feasibility.
     """
     rng = np.random.default_rng(seed_seq)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         s_seed, m_seed = (int(v) for v in rng.integers(0, 2**63, size=2))
         schema = random_schema(s_seed, num_entities)
         if num_entities == 1:
@@ -117,7 +119,7 @@ def generate_case(
         return schema, model
     raise Infeasible(
         f"no feasible (schema, model) pair for {num_entities} entities, "
-        f"{num_deps} dependencies after {max_attempts} attempts"
+        f"{num_deps} dependencies after {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agg import AggSet, build_all, node_table, orient, unshielded_triples
+from .agg import AggSet, bits, build_all, node_table, orient, unshielded_triples
 from .ci import find_sepset
 from .model import (
     RelationalDependency,
@@ -106,11 +106,11 @@ def phase1(
     hops = 2 * config.hop_threshold
     tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
     ids = {}  # dependency -> (table, cause id, effect id)
-    neighbors: dict[RelationalVariable, set[int]] = {}
+    neighbors: dict[RelationalVariable, int] = {}  # effect -> cause id mask
     for dep in pds:
         table = tables[dep.effect.perspective]
         ids[dep] = (table, table.index[dep.cause], table.index[dep.effect])
-        neighbors.setdefault(dep.effect, set()).add(ids[dep][1])
+        neighbors[dep.effect] = neighbors.get(dep.effect, 0) | 1 << ids[dep][1]
     order = list(pds)
     if rng is not None:
         rng.shuffle(order)
@@ -129,8 +129,8 @@ def phase1(
                 rev = reverse_dependency(dep)
                 live.discard(dep)
                 live.discard(rev)
-                neighbors[dep.effect].discard(x)
-                neighbors[rev.effect].discard(ids[rev][1])
+                neighbors[dep.effect] &= ~(1 << x)
+                neighbors[rev.effect] &= ~(1 << ids[rev][1])
     return sorted(live, key=str), sepsets
 
 
@@ -195,8 +195,8 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
 
     Pairs absent from the ``sepsets`` record are searched afresh as in PC:
     first among subsets of x's current neighbors, then, if none separates,
-    among subsets of z's. The result, a set or None, is recorded, so a pair
-    is searched once. The two passes take disjoint endpoint pairs, so
+    among subsets of z's. The result, an id mask or None, is recorded, so a
+    pair is searched once. The two passes take disjoint endpoint pairs, so
     neither reads a failure the other recorded.
     """
     rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
@@ -255,24 +255,19 @@ def meek_rules(agg_set: AggSet) -> None:
             changed |= _mr3_pass(agg_set, agg)
 
 
-def _directed_parents(agg, y):
-    parents = agg.parents[y]
-    return [nb for nb in sorted(agg.adjacency[y]) if parents >> nb & 1]
-
-
-def _undirected_neighbors(agg, y):
-    directed = agg.parents[y] | agg.children[y]
-    return [nb for nb in sorted(agg.adjacency[y]) if not directed >> nb & 1]
+def _undirected(agg, y: int) -> int:
+    """The id mask of y's neighbours joined to it by undirected edges."""
+    return agg.adjacency[y] & ~(agg.parents[y] | agg.children[y])
 
 
 def _knc_pass(agg_set: AggSet, agg) -> bool:
     changed = False
     for y in range(len(agg.nodes)):
-        parents = _directed_parents(agg, y)
+        parents = agg.parents[y]
         if not parents:
             continue
-        for z in _undirected_neighbors(agg, y):
-            if any(x != z and not agg.is_adjacent(x, z) for x in parents):
+        for z in bits(_undirected(agg, y)):
+            if parents & ~agg.adjacency[z] & ~(1 << z):
                 changed |= _orient_edge(agg_set, agg, y, z, "KNC")
     return changed
 
@@ -280,7 +275,7 @@ def _knc_pass(agg_set: AggSet, agg) -> bool:
 def _ca_pass(agg_set: AggSet, agg) -> bool:
     changed = False
     for x in range(len(agg.nodes)):
-        for z in _undirected_neighbors(agg, x):
+        for z in bits(_undirected(agg, x)):
             # a directed path x -> v -> z
             if agg.children[x] & agg.parents[z]:
                 changed |= _orient_edge(agg_set, agg, x, z, "CA")
@@ -290,18 +285,11 @@ def _ca_pass(agg_set: AggSet, agg) -> bool:
 def _mr3_pass(agg_set: AggSet, agg) -> bool:
     changed = False
     for x in range(len(agg.nodes)):
-        undirected = _undirected_neighbors(agg, x)
-        for y in undirected:
-            into_y = [v for v in undirected if agg.parents[y] >> v & 1]
-            done = False
-            for i, z in enumerate(into_y):
-                for w in into_y[i + 1 :]:
-                    if not agg.is_adjacent(z, w):
-                        changed |= _orient_edge(agg_set, agg, x, y, "MR3")
-                        done = True
-                        break
-                if done:
-                    break
+        undirected = _undirected(agg, x)
+        for y in bits(undirected):
+            into_y = undirected & agg.parents[y]
+            if any(into_y & ~agg.adjacency[z] & ~(1 << z) for z in bits(into_y)):
+                changed |= _orient_edge(agg_set, agg, x, y, "MR3")
     return changed
 
 

@@ -26,6 +26,10 @@ from .model import RelationalModel
 from .paths import RelationalPath
 from .schema import AttributeClass, Cardinality, Schema
 
+# sample_data's coefficient magnitudes (uniform, random sign) and noise scale
+COEFF_RANGE = (0.3, 0.7)
+NOISE_SD = 1.0
+
 # (item class, instance id, attribute)
 Node = tuple[str, str, str]
 
@@ -270,30 +274,26 @@ def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
     return GroundGraph(model, nodes, parents)
 
 
-def sample_data(
-    gg: GroundGraph,
-    seed: int = 0,
-    coeff_range: tuple[float, float] = (0.3, 0.7),
-    noise_sd: float = 1.0,
-) -> dict[Node, float]:
+def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
     """Linear-Gaussian sampling, one attribute class at a time.
 
-    Each dependency draws one signed coefficient; a node's value sums, over
-    its dependency groups, coefficient times the group's parent average,
-    plus Gaussian noise. Every ground edge instantiates a dependency of the
+    Each dependency draws one coefficient, uniform in ``COEFF_RANGE`` with a
+    random sign; a node's value sums, over its dependency groups,
+    coefficient times the group's parent average, plus Gaussian noise of
+    scale ``NOISE_SD``. Every ground edge instantiates a dependency of the
     model, so visiting attribute classes by the length of their longest
     chain of causes computes every parent before its children. Values are
     deterministic for a given seed and do not depend on the visiting order
     within a rank.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = coeff_range
+    lo, hi = COEFF_RANGE
     coeffs = {
         dep: float(rng.uniform(lo, hi)) * float(rng.choice((-1.0, 1.0)))
         for dep in gg.model.dependencies
     }
     ordered = sorted(gg.nodes)
-    noise = dict(zip(ordered, rng.normal(0.0, noise_sd, size=len(ordered))))
+    noise = dict(zip(ordered, rng.normal(0.0, NOISE_SD, size=len(ordered))))
     # longest chain of causes above each attribute class: in an acyclic
     # model no chain has more links than there are dependencies
     deps = gg.model.dependencies
@@ -397,9 +397,11 @@ def load_skeleton(schema: Schema, manifest_path: str | Path) -> Skeleton:
                     )
             value_cols = header[width:]
             known = set(schema.attributes_of(cls))
-            for col in value_cols:
+            for i, col in enumerate(value_cols):
                 if col not in known:
                     raise ValueError(f"{path}: unknown column {col!r}")
+                if col in value_cols[:i]:
+                    raise ValueError(f"{path}: duplicate column {col!r}")
             keys = []  # (id,) per entity, (id, participant ids) per link
             for row in reader:
                 if len(row) != len(header):

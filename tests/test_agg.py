@@ -391,12 +391,12 @@ def test_lifting_is_symmetric(seed, num_entities, hops, pick):
         for directions in ([d], [reverse_dependency(d)], [d, reverse_dependency(d)]):
             mine = build_all(directions, schema, hops).aggs[perspective]
             reference = _reference_edge_pairs(agg, directions, schema, hops)
-            adjacency = [set() for _ in agg.nodes]
+            adjacency = [0] * len(agg.nodes)
             for i, j in reference:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
             assert mine.edge_pairs == reference
-            assert mine.adjacency == tuple(map(frozenset, adjacency))
+            assert mine.adjacency == tuple(adjacency)
             expected = {pair: tuple(sorted(reference))} if reference else {}
             assert mine.pair_edges == expected
 
@@ -509,7 +509,7 @@ def test_node_ids_follow_variable_order(seed):
         assert len(agg.index) == len(agg.nodes)
         assert all(agg.index[v] == i for i, v in enumerate(agg.nodes))
         assert len(agg.adjacency) == len(agg.nodes)
-        arcs = {(i, j) for i, nbrs in enumerate(agg.adjacency) for j in nbrs}
+        arcs = {(i, j) for i, nbrs in enumerate(agg.adjacency) for j in bits(nbrs)}
         assert all((j, i) in arcs for i, j in arcs)
         assert all(i < j for i, j in agg.edge_pairs)
         assert set(agg.edge_pairs) == {(i, j) for i, j in arcs if i < j}

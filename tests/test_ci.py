@@ -492,7 +492,7 @@ def test_find_sepset_movie(movie_truth):
         table,
         pop,
         costar_pop,
-        [success],
+        1 << success,
         range(4),
         stats=stats,
         label="probe",
@@ -507,7 +507,7 @@ def _search(backend, x, y, pool, sizes, stats=None, rng=None):
     table = NodeTable.of(x.perspective, (x, y, *pool))
     index = table.index
     sep = find_sepset(
-        backend, table, index[x], index[y], [index[v] for v in pool], sizes,
+        backend, table, index[x], index[y], sum(1 << index[v] for v in pool), sizes,
         stats=stats, label="probe", rng=rng,
     )
     return None if sep is None else frozenset(table.nodes[i] for i in bits(sep))

@@ -179,6 +179,50 @@ def test_meek_mr3():
     )
 
 
+def _meek_after(edges, given):
+    """The registry and rules after propagating from the ``given`` arrows."""
+    schema = single_entity_schema(*sorted({a for edge in edges for a in edge}))
+    truth = propositional_model(schema, edges)
+    pds = [d for m in truth.dependencies for d in (m, reverse_dependency(m))]
+    agg_set = build_all(pds, schema, 8)
+    for cause, effect in given:
+        orient(agg_set, dep(["E1"], cause, "E1", effect), rule="given")
+    meek_rules(agg_set)
+    return agg_set.registry, agg_set.attribution
+
+
+def _pair(a, b):
+    return canonical_pair(dep(["E1"], a, "E1", b))
+
+
+def test_meek_knc_needs_a_parent_not_adjacent_to_z():
+    # x -> y - z with x - z: y's only parent is adjacent to z
+    registry, attribution = _meek_after(
+        [("X", "Y"), ("Y", "Z"), ("X", "Z")], [("X", "Y")]
+    )
+    assert registry[_pair("Y", "Z")] is None
+    assert registry[_pair("X", "Z")] is None
+    assert set(attribution.values()) == {"given"}
+
+
+def test_meek_mr3_needs_non_adjacent_parents():
+    # the MR3 shape with z - w: the two parents of y are adjacent
+    edges = [("X", "Y"), ("X", "Z"), ("X", "W"), ("Z", "Y"), ("W", "Y"), ("Z", "W")]
+    registry, attribution = _meek_after(edges, [("Z", "Y"), ("W", "Y")])
+    assert registry[_pair("X", "Y")] is None
+    assert set(attribution.values()) == {"given"}
+
+
+def test_meek_mr3_finds_a_later_non_adjacent_parent_pair():
+    # parents A < B < C of Y (by id): A is adjacent to B and to C, and only
+    # B and C are non-adjacent
+    edges = [("X", "Y"), ("A", "B"), ("A", "C")]
+    edges += [(p, "Y") for p in "ABC"] + [("X", p) for p in "ABC"]
+    registry, attribution = _meek_after(edges, [(p, "Y") for p in "ABC"])
+    assert registry[_pair("X", "Y")] == dep(["E1"], "X", "E1", "Y")
+    assert attribution[_pair("X", "Y")] == "MR3"
+
+
 class RecordingCI:
     """A CI backend that records the queries it passes to ``inner``."""
 
@@ -206,9 +250,9 @@ def test_collider_detection_searches_one_endpoints_neighbors():
     sides = set()
     for x, z, cond in backend.queries:
         agg = agg_set.aggs[x.perspective]
-        ids = {agg.index[v] for v in cond}
-        in_x = ids <= agg.adjacency[agg.index[x]]
-        in_z = ids <= agg.adjacency[agg.index[z]]
+        ids = sum(1 << agg.index[v] for v in cond)
+        in_x = not ids & ~agg.adjacency[agg.index[x]]
+        in_z = not ids & ~agg.adjacency[agg.index[z]]
         assert in_x or in_z, (x, z, cond)
         sides.add((in_x, in_z))
     # the search falls back to z's neighbors when x's hold no separating set
@@ -225,7 +269,6 @@ def _record_searches(monkeypatch) -> list[list[tuple]]:
         return learn(*args, **kwargs)
 
     def recording_search(ci_backend, table, x, y, pool, sizes, *, label, **kwargs):
-        pool = frozenset(pool)
         sep = search(ci_backend, table, x, y, pool, sizes, label=label, **kwargs)
         runs[-1].append((label, table, x, y, pool, sep))
         return sep

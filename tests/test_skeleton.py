@@ -394,15 +394,23 @@ def test_load_rejects_non_numeric(movie_schema, movie_truth, tmp_path):
         load_skeleton(movie_schema, manifest)
 
 
-def test_load_rejects_unknown_column(movie_schema, tmp_path):
+@pytest.mark.parametrize(
+    "header,error",
+    [
+        ("id,Mystery", "unknown column 'Mystery'"),
+        ("id,Popularity,Popularity", "duplicate column 'Popularity'"),
+    ],
+    ids=["unknown", "duplicate"],
+)
+def test_load_rejects_unknown_column(movie_schema, tmp_path, header, error):
     skel = random_skeleton(movie_schema, {"ACTOR": 3, "MOVIE": 3}, 1.0, seed=0)
     manifest = save_skeleton(skel, tmp_path)
     actor = tmp_path / "actor.csv"
     lines = actor.read_text().splitlines()
-    lines[0] = "id,Mystery"
-    lines = [lines[0]] + [f"{line},1.0" for line in lines[1:]]
+    fields = ",1.0" * header.count(",")
+    lines = [header] + [f"{line}{fields}" for line in lines[1:]]
     actor.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="unknown column"):
+    with pytest.raises(ValueError, match=error):
         load_skeleton(movie_schema, manifest)
 
 

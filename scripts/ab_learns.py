@@ -1,28 +1,37 @@
-"""Interleaved A/B timing of oracle learns between two relcd source trees.
+"""Interleaved A/B timing of learns between two relcd source trees.
 
     python scripts/ab_learns.py BASE_SRC NEW_SRC [--passes 4]
+        [--workload oracle-grid|data-vote]
 
 BASE_SRC and NEW_SRC are directories that each hold a ``relcd`` package
 (a checkout's ``src/``). Both trees are imported into one process, each
-under its own package name. The panel is the benchmark's oracle-grid
-panel: the cells and cases a cell of ``perfbench/workloads.py``'s
-``OracleGrid`` (imported with BASE_SRC's ``relcd``), drawn at entropy 0 by
-each tree's own ``harness`` and learned, as ``OracleGrid.op`` learns them,
-with ``OracleCI(hops=8)`` and the default ``LearnConfig``. A pass learns
-every case once with each tree, alternating the trees learn by learn, so
-both sample the same spells of the machine's speed; which tree goes first
-alternates from case to case. Separate runs of one tree can differ by a
-quarter on a loaded machine, where interleaved passes agree far closer.
+under its own package name. The panel is one of the benchmark's workloads
+in ``perfbench/workloads.py`` (imported with BASE_SRC's ``relcd``), whose
+inputs each tree draws at entropy 0 with its own modules:
+
+- ``oracle-grid`` (the default): ``OracleGrid``'s cells and cases a cell,
+  drawn by each tree's ``harness`` and learned, as ``OracleGrid.op`` learns
+  them, with ``OracleCI(hops=8)`` and the default ``LearnConfig``.
+- ``data-vote``: ``DataVote``'s model, skeletons and vote seeds. Each tree
+  generates, grounds, samples, writes and reads back the skeletons with
+  its own ``skeleton`` module, as ``DataVote.setup`` does, and votes, as
+  ``DataVote.op`` does, with ``RegressionCI``.
+
+A pass runs every learn or vote once with each tree, alternating the trees
+item by item, so both sample the same spells of the machine's speed; which
+tree goes first alternates from item to item. Separate runs of one tree can
+differ by a quarter on a loaded machine, where interleaved passes agree far
+closer.
 
 The script fails unless both trees give identical ``pattern_to_dict``
 outputs, CI-test counts included. It prints each pass's time per tree and
 their ratio (base / new; above 1 means the new tree is faster), then the
 median ratio. For a tree whose ``agg.lift`` is an ``lru_cache``, it also
-prints that cache's hits and misses within each pass. It prints each
-tree's Bayes-ball walks within each pass, counted by wrapping the tree's
-kernel method (``Agg.reach``, or ``Agg.d_separated`` in a tree without
-it). The wrapper costs each walk the same small time in both trees, so it
-slightly favours the tree that walks less.
+prints that cache's hits and misses within each pass. On oracle-grid it
+prints each tree's Bayes-ball walks within each pass, counted by wrapping
+the tree's kernel method (``Agg.reach``, or ``Agg.d_separated`` in a tree
+without it). The wrapper costs each walk the same small time in both trees,
+so it slightly favours the tree that walks less.
 """
 
 from __future__ import annotations
@@ -32,7 +41,10 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
+from functools import partial
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +52,10 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 
 
-def oracle_grid(src: Path) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The benchmark panel's (entities, dependencies) cells and cases a cell."""
+def benchmark_workloads(src: Path):
+    """``perfbench.workloads``, importing the ``relcd`` under ``src``."""
     sys.path[:0] = [str(REPO), str(src)]  # perfbench imports relcd
-    from perfbench.workloads import OracleGrid
-
-    return OracleGrid.cells, OracleGrid.unit_ops // len(OracleGrid.cells)
+    return importlib.import_module("perfbench.workloads")
 
 
 def load_tree(src: Path, name: str):
@@ -60,28 +70,69 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}") for sub in
-            ("agg", "ci", "harness", "rcd")}
+            ("agg", "ci", "harness", "rcd", "schema", "skeleton")}
 
 
-def panel(tree, cells, cases_per_cell):
-    """``OracleGrid.setup``'s cases, in panel order, from this tree's harness."""
+def oracle_panel(tree, workloads, workdir: Path):
+    """``OracleGrid.setup``'s cases, in panel order, as learns to time."""
+    grid = workloads.OracleGrid
     hops = tree["rcd"].LearnConfig().hop_threshold
     return [
-        tree["harness"].generate_case(
+        partial(learn_oracle, tree, *tree["harness"].generate_case(
             e, d, hops, np.random.SeedSequence(entropy=0, spawn_key=(e, d, t))
-        )
-        for t in range(cases_per_cell)
-        for e, d in cells
+        ))
+        for t in range(grid.unit_ops // len(grid.cells))
+        for e, d in grid.cells
     ]
 
 
-def learn(tree, case):
-    schema, truth = case
+def learn_oracle(tree, schema, truth):
     rcd = tree["rcd"]
+    return rcd.rcd_learn(schema, tree["ci"].OracleCI(truth, hops=8), rcd.LearnConfig())
+
+
+def vote_panel(tree, workloads, workdir: Path):
+    """``DataVote.setup``'s votes, in panel order, as votes to time."""
+    harness, skeleton = tree["harness"], tree["skeleton"]
+    vote, derive = workloads.DataVote, workloads.derive
+    hops = tree["rcd"].LearnConfig().hop_threshold
+    one = tree["schema"].Cardinality.ONE
+    for k in count():  # workloads.data_case, with this tree's harness
+        seq = np.random.SeedSequence(entropy=0, spawn_key=(k,))
+        schema, truth = harness.generate_case(3, 5, hops, seq)
+        if all(one not in rel.cards for rel in schema.relationships):
+            break
+    sizes = dict.fromkeys(schema.entity_names, vote.size)
+    loaded = []
+    for j in range(vote.skeletons):
+        skel = skeleton.random_skeleton(
+            schema, sizes, workloads.DENSITY, seed=derive(0, 1, j)
+        )
+        gg = skeleton.ground_graph(truth, skel)
+        written = skel.with_values(skeleton.sample_data(gg, seed=derive(0, 2, j)))
+        manifest = skeleton.save_skeleton(written, workdir / f"skeleton{j}")
+        loaded.append(skeleton.load_skeleton(schema, manifest))
+    return [
+        partial(learn_vote, tree, schema, loaded[j % vote.skeletons],
+                derive(0, 3, j), vote.runs)
+        for j in range(vote.unit_ops)
+    ]
+
+
+def learn_vote(tree, schema, data, seed, runs):
+    rcd = tree["rcd"]
+    return rcd.majority_vote(
+        schema, tree["ci"].RegressionCI(data), rcd.LearnConfig(seed=seed), runs=runs
+    )
+
+
+PANELS = {"oracle-grid": oracle_panel, "data-vote": vote_panel}
+
+
+def timed(tree, job):
     start = time.perf_counter()
-    oracle = tree["ci"].OracleCI(truth, hops=8)
-    pattern = rcd.rcd_learn(schema, oracle, rcd.LearnConfig())
-    return time.perf_counter() - start, rcd.pattern_to_dict(pattern)
+    pattern = job()
+    return time.perf_counter() - start, tree["rcd"].pattern_to_dict(pattern)
 
 
 def cache_counts(tree) -> tuple[int, int] | None:
@@ -109,26 +160,32 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path, help="the base tree's src directory")
     parser.add_argument("new", type=Path, help="the new tree's src directory")
     parser.add_argument("--passes", type=int, default=4)
+    parser.add_argument("--workload", choices=sorted(PANELS), default="oracle-grid")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
     trees = [load_tree(args.base, "relcd_base"), load_tree(args.new, "relcd_new")]
-    cells, cases_per_cell = oracle_grid(args.base)
-    cases = [panel(tree, cells, cases_per_cell) for tree in trees]
+    workloads = benchmark_workloads(args.base)
+    with tempfile.TemporaryDirectory() as workdir:
+        jobs = [
+            PANELS[args.workload](tree, workloads, Path(workdir, label))
+            for tree, label in zip(trees, ("base", "new"))
+        ]
+    oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
     ratios = []
     for p in range(args.passes):
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
         walks_before = [w[0] for w in walks]
-        for k in range(len(cases[0])):
+        for k in range(len(jobs[0])):
             order = (0, 1) if (k + p) % 2 == 0 else (1, 0)
             outputs = [None, None]
             for t in order:
-                dt, outputs[t] = learn(trees[t], cases[t][k])
+                dt, outputs[t] = timed(trees[t], jobs[t][k])
                 seconds[t] += dt
             if outputs[0] != outputs[1]:
-                print(f"case {k}: the trees learn different patterns", file=sys.stderr)
+                print(f"item {k}: the trees learn different patterns", file=sys.stderr)
                 return 1
         ratios.append(seconds[0] / seconds[1])
         line = (
@@ -138,14 +195,16 @@ def main(argv=None) -> int:
         for label, tree, start, walked, start_walks in zip(
             ("base", "new"), trees, before, walks, walks_before
         ):
-            line += f"; {label} {walked[0] - start_walks} walks"
+            counts = [f"{walked[0] - start_walks} walks"] if oracle else []
             if start is not None:
                 hits, misses = (a - b for a, b in zip(cache_counts(tree), start))
-                line += f", lift cache {hits} hits, {misses} misses"
+                counts.append(f"lift cache {hits} hits, {misses} misses")
+            if counts:
+                line += f"; {label} " + ", ".join(counts)
         print(line, flush=True)
     print(
-        f"identical pattern_to_dict outputs on {len(cases[0])} cases"
-        f" x {args.passes} passes"
+        f"identical pattern_to_dict outputs on {len(jobs[0])} {args.workload}"
+        f" items x {args.passes} passes"
     )
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
     return 0

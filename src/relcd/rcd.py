@@ -21,12 +21,7 @@ import numpy as np
 
 from .agg import AggSet, bits, build_all, node_table, orient, unshielded_triples
 from .ci import find_sepset
-from .model import (
-    RelationalDependency,
-    RelationalVariable,
-    potential_dependencies,
-    reverse_dependency,
-)
+from .model import RelationalDependency, potential_dependencies, reverse_dependency
 from .schema import Schema
 
 RULES = ("CD", "RBO", "KNC", "CA", "MR3")
@@ -99,39 +94,42 @@ def phase1(
     conditioning set drawn from the current cause candidates of the effect
     separates the pair; the witnessing set (an id mask) is recorded, keyed
     (perspective, low id, high id). Queries name variables by id in the node
-    tables that phase II lifts on, at twice the hop threshold.
+    tables that phase II lifts on, at twice the hop threshold. Each potential
+    dependency is one row of ids, in text order, that also names its reverse's
+    row; the survivors come back in that order.
     """
     sepsets: dict[tuple[str, int, int], int | None] = {}
     pds = potential_dependencies(schema, config.hop_threshold)
     hops = 2 * config.hop_threshold
     tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
-    ids = {}  # dependency -> (table, cause id, effect id)
-    neighbors: dict[RelationalVariable, int] = {}  # effect -> cause id mask
+    position = {dep: i for i, dep in enumerate(pds)}
+    rows = []  # (table, cause id, effect id, reverse's row) per dependency
+    neighbors: dict[tuple[str, int], int] = {}  # (perspective, effect id) -> cause ids
     for dep in pds:
         table = tables[dep.effect.perspective]
-        ids[dep] = (table, table.index[dep.cause], table.index[dep.effect])
-        neighbors[dep.effect] = neighbors.get(dep.effect, 0) | 1 << ids[dep][1]
-    order = list(pds)
+        x, y = table.index[dep.cause], table.index[dep.effect]
+        rows.append((table, x, y, position[reverse_dependency(dep)]))
+        key = (table.perspective, y)
+        neighbors[key] = neighbors.get(key, 0) | 1 << x
+    live = [True] * len(pds)
+    order = list(range(len(pds)))
     if rng is not None:
         rng.shuffle(order)
-    live = set(pds)
     for size in range(config.depth + 1):
-        for dep in order:
-            if dep not in live:
+        for i in order:
+            if not live[i]:
                 continue
-            table, x, y = ids[dep]
+            table, x, y, rev = rows[i]
             sep = find_sepset(
-                ci_backend, table, x, y, neighbors[dep.effect], range(size, size + 1),
-                stats=stats, label="phase1", rng=rng,
+                ci_backend, table, x, y, neighbors[(table.perspective, y)],
+                range(size, size + 1), stats=stats, label="phase1", rng=rng,
             )
             if sep is not None:
                 sepsets[(table.perspective, min(x, y), max(x, y))] = sep
-                rev = reverse_dependency(dep)
-                live.discard(dep)
-                live.discard(rev)
-                neighbors[dep.effect] &= ~(1 << x)
-                neighbors[rev.effect] &= ~(1 << ids[rev][1])
-    return sorted(live, key=str), sepsets
+                live[i] = live[rev] = False
+                for t, cause, effect, _ in (rows[i], rows[rev]):
+                    neighbors[(t.perspective, effect)] &= ~(1 << cause)
+    return [dep for dep, alive in zip(pds, live) if alive], sepsets
 
 
 def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:

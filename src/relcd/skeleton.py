@@ -320,34 +320,23 @@ def save_skeleton(skeleton: Skeleton, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
     values = skeleton.values
-    for entity in skeleton.schema.entities:
-        fname = f"{entity.name.lower()}.csv"
-        files[entity.name] = fname
+    schema = skeleton.schema
+    for item in (*schema.entities, *schema.relationships):
+        # key columns: (id,) per entity, (id, participant ids) per link
+        if schema.is_entity(item.name):
+            header = ["id"]
+            keys = [(inst,) for inst in skeleton.instances[item.name]]
+        else:
+            header = ["id", *(f"{p}_id" for p in item.participants)]
+            keys = skeleton.links[item.name]
+        fname = files[item.name] = f"{item.name.lower()}.csv"
+        attrs = list(item.attributes) if values else []
         with open(directory / fname, "w", newline="") as fh:
             writer = csv.writer(fh)
-            attrs = list(entity.attributes) if values else []
-            writer.writerow(["id", *attrs])
-            for inst in skeleton.instances[entity.name]:
-                row = [inst] + [repr(values[(entity.name, inst, a)]) for a in attrs]
-                writer.writerow(row)
-    for rel in skeleton.schema.relationships:
-        fname = f"{rel.name.lower()}.csv"
-        files[rel.name] = fname
-        with open(directory / fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            attrs = list(rel.attributes) if values else []
-            writer.writerow(
-                [
-                    "id",
-                    f"{rel.participants[0]}_id",
-                    f"{rel.participants[1]}_id",
-                    *attrs,
-                ]
-            )
-            for link_id, e1, e2 in skeleton.links[rel.name]:
-                row = [link_id, e1, e2]
-                row += [repr(values[(rel.name, link_id, a)]) for a in attrs]
-                writer.writerow(row)
+            writer.writerow([*header, *attrs])
+            for key in keys:
+                row = [repr(values[(item.name, key[0], a)]) for a in attrs]
+                writer.writerow([*key, *row])
     manifest = directory / "manifest.json"
     manifest.write_text(json.dumps({"files": files}, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -458,6 +458,26 @@ def test_order_randomization_is_deterministic_per_seed(movie_truth):
     assert a.directed == b.directed and a.undirected == b.undirected
 
 
+@pytest.mark.parametrize(
+    "entities,deps,trial",
+    [(e, d, t) for e, d in ((3, 10), (3, 15), (4, 10), (4, 15)) for t in range(3)],
+)
+def test_phase1_survivors_are_sorted_closed_and_order_free(entities, deps, trial):
+    # phase I keeps its state in rows of ids, in text order, each naming its
+    # reverse's row; under the exact oracle the survivors are the adjacencies
+    # of the true model, whatever order the rows are visited in
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(entities, deps, trial))
+    config = LearnConfig()
+    schema, truth = generate_case(entities, deps, config.hop_threshold, seq)
+    backend = OracleCI(truth, hops=8)
+    canonical, _ = phase1(schema, backend, config)
+    assert [str(d) for d in canonical] == sorted(str(d) for d in canonical)
+    assert {reverse_dependency(d) for d in canonical} == set(canonical)
+    for seed in range(3):
+        shuffled, _ = phase1(schema, backend, config, rng=np.random.default_rng(seed))
+        assert shuffled == canonical
+
+
 # pattern_to_dict of oracle learns on the benchmark grid's first draws, as
 # (entities, deps, trial): the CI tests per label, then the first 16 hex
 # digits of the SHA-256 of the whole dict (dependencies, rules, conflicts)

@@ -19,8 +19,9 @@ model carries (``RelationalModel.pairs``), share the learner's cached
 lifting and direct bits of their own. It memoizes Bayes-ball walks, not
 verdicts: a walk from y given Z answers (x, y | Z) for every x it reached,
 and for every x at all once it ran out. The regression test averages each
-variable over its terminal sets in skeleton data, one relational path at a
-time (``skeleton.terminal_sets``). ``find_sepset`` is the separating-set search
+variable over its terminal sets in skeleton data, through one
+``skeleton.TerminalSets`` walker per backend, so relational paths that share
+a prefix share its sparse hops. ``find_sepset`` is the separating-set search
 of both learner phases, over a pool given as an id mask; it counts its tests
 per label in a ``Counter`` and records nothing (the learner keeps one dict
 of separating sets).
@@ -33,12 +34,12 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 
 from .agg import Agg, NodeTable, bits, build_agg
 from .model import RelationalModel, RelationalVariable
-from .paths import RelationalPath, is_valid
-from .skeleton import Skeleton, terminal_sets
+from .paths import is_valid
+from .skeleton import Skeleton, TerminalSets
 
 
 def check_query(
@@ -147,12 +148,13 @@ class RegressionCI:
 
     One row per perspective instance; each variable column is the mean of
     its terminal-set values, and rows touching an empty terminal set are
-    dropped. Terminal sets come from ``terminal_sets`` once per relational
-    path and are shared by every attribute on that path. Dependence
-    requires the regressor of interest to be both significant at ``alpha``
-    and above the standardized effect threshold. A query with too few
-    usable rows, or with a constant column, is reported independent and
-    counted in ``outcomes`` (``too_few_rows``, ``zero_variance``).
+    dropped. Terminal sets come from one ``TerminalSets`` walker that
+    lives as long as the backend, so each distinct path prefix costs one
+    sparse hop, and a path's terminal sets serve every attribute on it.
+    Dependence requires the regressor of interest to be both significant at
+    ``alpha`` and above the standardized effect threshold. A query with
+    too few usable rows, or with a constant column, is reported independent
+    and counted in ``outcomes`` (``too_few_rows``, ``zero_variance``).
     """
 
     def __init__(
@@ -175,7 +177,7 @@ class RegressionCI:
         self.effect_threshold = effect_threshold
         self.outcomes: Counter = Counter()
         self._columns: dict[RelationalVariable, tuple[np.ndarray, np.ndarray]] = {}
-        self._reach: dict[RelationalPath, sparse.csr_array] = {}
+        self._reach = TerminalSets(skeleton)
         self._values: dict[tuple[str, str], np.ndarray] = {}
         self._memo: dict[tuple, bool] = {}
 
@@ -183,9 +185,7 @@ class RegressionCI:
         cached = self._columns.get(var)
         if cached is not None:
             return cached
-        reach = self._reach.get(var.path)
-        if reach is None:
-            reach = self._reach[var.path] = terminal_sets(self.skeleton, var.path)
+        reach = self._reach(var.path)
         cls = var.path.last
         values = self._values.get((cls, var.attribute))
         if values is None:
@@ -234,7 +234,8 @@ class RegressionCI:
             self.outcomes["too_few_rows"] += 1
             return True
         data = [c[mask] for c in cols]
-        if any(float(np.std(c)) == 0.0 for c in data):
+        stds = [float(np.std(c)) for c in data]
+        if 0.0 in stds:
             self.outcomes["zero_variance"] += 1
             return True
         xcol, ycol = data[0], data[1]
@@ -250,7 +251,7 @@ class RegressionCI:
         else:
             # the Student-t survival function, without importing scipy.stats
             pval = 2.0 * float(special.stdtr(dof, -abs(beta[1]) / se))
-        std_coef = float(beta[1]) * float(np.std(xcol)) / float(np.std(ycol))
+        std_coef = float(beta[1]) * stds[0] / stds[1]
         dependent = pval < self.alpha and abs(std_coef) >= self.effect_threshold
         return not dependent
 

@@ -5,9 +5,11 @@ Pairing a skeleton with a model instantiates every dependency into a
 directed graph over (instance, attribute) nodes, from which synthetic
 linear-Gaussian data can be sampled.
 
-``terminal_sets`` follows a relational path from every perspective instance
+``TerminalSets`` follows relational paths from every perspective instance
 at once, as boolean products of the skeleton's sparse hop incidence
-matrices; the regression backend and ``ground_graph`` use it.
+matrices. It memoises every path prefix it walks, so paths that share a
+prefix share its hops; the regression backend keeps one for its lifetime,
+and ``ground_graph`` one per call.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ class Skeleton:
         hops = {}
         for rel in self.schema.relationships:
             rel_links = self.links[rel.name]
-            link_pos = np.arange(len(rel_links))
+            # int32 indices halve what each product, and so each prefix a
+            # TerminalSets memo keeps, holds
+            link_pos = np.arange(len(rel_links), dtype=np.int32)
             for side, entity in enumerate(rel.participants):
                 pos = self._positions[entity]
                 ent_pos = np.fromiter(
-                    (pos[link[1 + side]] for link in rel_links), np.intp, len(rel_links)
+                    (pos[link[1 + side]] for link in rel_links), np.int32, len(rel_links)
                 )
                 to_rel = sparse.csr_array(
                     (np.ones(len(rel_links), dtype=bool), (ent_pos, link_pos)),
@@ -135,29 +139,55 @@ class Skeleton:
         return out
 
 
-def terminal_sets(skeleton: Skeleton, path: RelationalPath) -> sparse.csr_array:
-    """Terminal sets of every perspective instance at once.
+class TerminalSets:
+    """Terminal sets of relational paths on one skeleton, memoised by prefix.
 
-    Row ``i`` marks the instances of ``path.last`` reached from the ``i``-th
-    instance of ``path.perspective``; rows and columns follow
-    ``instances_of`` order, which is sorted. Each hop is a boolean product
-    with the hop's incidence matrix, masked by what each row has already
-    visited of the class it lands on, so traversals never fold back onto
-    where they came from.
+    ``walker(path)`` is a sparse boolean array: row ``i`` marks the
+    instances of ``path.last`` reached from the ``i``-th instance of
+    ``path.perspective``; rows and columns follow ``instances_of`` order,
+    which is sorted, and each row's indices are sorted. Each hop is a
+    boolean product with the hop's incidence matrix, masked by what each
+    row has already visited of the class it lands on, so traversals never
+    fold back onto where they came from.
+
+    The memo maps each walked prefix (its item tuple) to its frontier and
+    what it has visited per class. A path extends its longest walked
+    prefix one hop at a time, so each distinct prefix costs one product
+    for the walker's lifetime. The array returned is the memo's own, so
+    callers must not modify it.
     """
-    n = len(skeleton._positions[path.perspective])  # noqa: SLF001
-    frontier = sparse.csr_array(sparse.identity(n, dtype=bool))
-    burned = {path.perspective: frontier}
-    for prev_cls, cls in zip(path.items, path.items[1:]):
-        frontier = frontier @ skeleton._hops[(prev_cls, cls)]  # noqa: SLF001
-        seen = burned.get(cls)
-        if seen is None:
-            burned[cls] = frontier
-        else:
-            frontier = frontier > seen
-            burned[cls] = seen + frontier
-    frontier.sort_indices()
-    return frontier
+
+    def __init__(self, skeleton: Skeleton):
+        self.skeleton = skeleton
+        # items -> (frontier, visited per class)
+        self._walks: dict[tuple[str, ...], tuple[sparse.csr_array, dict]] = {}
+
+    def __call__(self, path: RelationalPath) -> sparse.csr_array:
+        items = path.items
+        walks = self._walks
+        k = len(items)
+        while k > 1 and items[:k] not in walks:
+            k -= 1
+        walk = walks.get(items[:k])
+        if walk is None:  # k is 1: start from the perspective itself
+            n = len(self.skeleton._positions[items[0]])  # noqa: SLF001
+            start = sparse.csr_array(sparse.identity(n, dtype=bool))
+            walk = walks[items[:1]] = start, {items[0]: start}
+        frontier, burned = walk
+        hops = self.skeleton._hops  # noqa: SLF001
+        for j in range(k, len(items)):
+            cls = items[j]
+            frontier = frontier @ hops[(items[j - 1], cls)]
+            seen = burned.get(cls)
+            if seen is None:
+                burned = {**burned, cls: frontier}
+            else:
+                frontier = frontier > seen
+                burned = {**burned, cls: seen + frontier}
+            walks[items[: j + 1]] = frontier, burned
+        # sorting in place changes no later product of this prefix
+        frontier.sort_indices()
+        return frontier
 
 
 def random_skeleton(
@@ -255,10 +285,11 @@ def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
         raise ValueError("model and skeleton schemas differ")
     nodes = tuple(skeleton.nodes())
     parents: dict[Node, dict[object, tuple[Node, ...]]] = {}
+    walker = TerminalSets(skeleton)
     for dep in model.dependencies:
         effect_cls = dep.effect.path.last
         cause_cls = dep.cause.path.last
-        reach = terminal_sets(skeleton, dep.cause.path)
+        reach = walker(dep.cause.path)
         # columns follow the sorted instance order, so each group is sorted
         causes = [
             (cause_cls, r, dep.cause.attribute) for r in skeleton.instances_of(cause_cls)

@@ -342,6 +342,42 @@ def test_regression_column_matches_fsum_reference(seed):
                 assert ok.tolist() == [bool(rs) for rs in reached]
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", ["longest_first", "shuffled"])
+def test_terminal_sets_and_columns_do_not_depend_on_asking_order(movie_schema, seed, order):
+    # movie paths such as [ACTOR, STARS-IN, MOVIE, STARS-IN, ACTOR] revisit classes
+    schema = movie_schema if seed == 0 else random_schema(seed, 3)
+    sizes = {e.name: 4 + (seed + k) % 5 for k, e in enumerate(schema.entities)}
+    skel = random_skeleton(schema, sizes, 2.0 if seed == 0 else 1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    values = {
+        node: float(rng.normal() * 10.0 ** rng.integers(-12, 13)) for node in skel.nodes()
+    }
+    backend = RegressionCI(skel.with_values(values))
+    paths = [p for cls in schema.item_classes for p in enumerate_paths(schema, cls, 4)]
+    if order == "longest_first":
+        paths.sort(key=lambda p: -len(p.items))
+    else:
+        random.Random(seed).shuffle(paths)
+    for p in paths:
+        reached = [terminal_set(skel, p, inst) for inst in skel.instances_of(p.perspective)]
+        reach = backend._reach(p)
+        targets = skel.instances_of(p.last)
+        for i, rs in enumerate(reached):
+            row = reach.indices[reach.indptr[i] : reach.indptr[i + 1]]
+            assert [targets[j] for j in row] == sorted(rs)
+        for attr in schema.attributes_of(p.last):
+            col, ok = backend._column(RelationalVariable(p, attr))
+            want = np.array(
+                [
+                    math.fsum(values[(p.last, r, attr)] for r in rs) / len(rs) if rs else 0.0
+                    for rs in reached
+                ]
+            )
+            assert col.tobytes() == want.tobytes()
+            assert ok.tolist() == [bool(rs) for rs in reached]
+
+
 def test_regression_requires_values(movie_schema):
     skel = random_skeleton(movie_schema, {"ACTOR": 10, "MOVIE": 10}, 2.0, seed=0)
     with pytest.raises(ValueError, match="values"):

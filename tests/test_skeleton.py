@@ -1,4 +1,5 @@
 import json
+import random
 
 import networkx as nx
 import numpy as np
@@ -13,12 +14,12 @@ from relcd.paths import enumerate_paths, path
 from relcd.schema import Cardinality, random_schema
 from relcd.skeleton import (
     Skeleton,
+    TerminalSets,
     ground_graph,
     load_skeleton,
     random_skeleton,
     sample_data,
     save_skeleton,
-    terminal_sets,
 )
 from tests.conftest import dep, single_entity_schema
 from tests.reference import dsep_ground, ground_digraph, is_acyclic, terminal_set
@@ -128,11 +129,12 @@ def test_terminal_set_reverse_containment(movie_schema, seed):
 
 
 def assert_terminal_sets_match(skel, hops=6):
-    """Every row of ``terminal_sets`` is the sorted reference terminal set."""
+    """Every row of a walker's terminal sets is the sorted reference set."""
+    walker = TerminalSets(skel)
     for cls in skel.schema.item_classes:
         starts = skel.instances_of(cls)
         for p in enumerate_paths(skel.schema, cls, hops):
-            reach = terminal_sets(skel, p)
+            reach = walker(p)
             targets = skel.instances_of(p.last)
             assert reach.shape == (len(starts), len(targets))
             for i, inst in enumerate(starts):
@@ -177,8 +179,36 @@ def test_terminal_sets_no_links(movie_schema):
         instances={"ACTOR": ("a1", "a2"), "MOVIE": ("m1",)},
         links={"STARS-IN": ()},
     )
-    assert terminal_sets(skel, path("ACTOR", "STARS-IN", "MOVIE")).nnz == 0
+    assert TerminalSets(skel)(path("ACTOR", "STARS-IN", "MOVIE")).nnz == 0
     assert_terminal_sets_match(skel)
+
+
+class CountingHops(dict):
+    """A skeleton's hop matrices, counting every lookup."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_path_prefix_costs_one_hop(movie_schema, seed):
+    schema = movie_schema if seed == 0 else random_schema(seed, 3)
+    sizes = {e.name: 6 for e in schema.entities}
+    skel = random_skeleton(schema, sizes, 1.0, seed=seed)
+    hops = CountingHops(skel._hops)
+    object.__setattr__(skel, "_hops", hops)
+    paths = [p for cls in schema.item_classes for p in enumerate_paths(schema, cls, 4)]
+    random.Random(seed).shuffle(paths)
+    walker = TerminalSets(skel)
+    for p in paths * 2:
+        reach = walker(p)
+        # int32 indices halve what the memoised prefixes hold
+        assert reach.indices.dtype == reach.indptr.dtype == np.int32
+    prefixes = {p.items[:k] for p in paths for k in range(2, len(p.items) + 1)}
+    assert hops.lookups == len(prefixes) > 0
 
 
 def test_skeleton_rejects_duplicate_ids(movie_schema):

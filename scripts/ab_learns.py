@@ -26,15 +26,14 @@ closer.
 The script fails unless both trees give identical ``pattern_to_dict``
 outputs, CI-test counts included. It prints each pass's time per tree and
 their ratio (base / new; above 1 means the new tree is faster), then the
-median ratio. For a tree whose ``agg.lift`` is an ``lru_cache``, it also
-prints that cache's hits and misses within each pass. On oracle-grid it
-prints each tree's Bayes-ball walks within each pass, counted by wrapping
-the tree's kernel method (``Agg.reach``, or ``Agg.d_separated`` in a tree
-without it). The wrapper costs each walk the same small time in both trees,
-so it slightly favours the tree that walks less. On data-vote it ends with
-one untimed pass per tree under ``tracemalloc`` and prints the peak MB each
-tree's votes trace, so a trade of memory for speed shows before the
-benchmark's ``peak_rss_mb`` bound refuses it.
+median ratio. It also prints each tree's ``agg.lift`` cache hits and
+misses within each pass. On oracle-grid it prints each tree's Bayes-ball
+walks within each pass, counted by wrapping ``Agg.reach``. The wrapper
+costs each walk the same small time in both trees, so it slightly favours
+the tree that walks less. On data-vote it ends with one untimed pass per
+tree under ``tracemalloc`` and prints the peak MB each tree's votes trace,
+so a trade of memory for speed shows before the benchmark's
+``peak_rss_mb`` bound refuses it.
 """
 
 from __future__ import annotations
@@ -139,23 +138,21 @@ def timed(tree, job):
     return time.perf_counter() - start, tree["rcd"].pattern_to_dict(pattern)
 
 
-def cache_counts(tree) -> tuple[int, int] | None:
-    info = getattr(getattr(tree["agg"], "lift", None), "cache_info", None)
-    return None if info is None else info()[:2]
+def cache_counts(tree) -> tuple[int, int]:
+    return tree["agg"].lift.cache_info()[:2]
 
 
 def count_walks(tree) -> list[int]:
-    """Count calls of the tree's Bayes-ball kernel in the returned cell."""
+    """Count calls of the tree's ``Agg.reach`` in the returned cell."""
     agg = tree["agg"].Agg
-    name = "reach" if hasattr(agg, "reach") else "d_separated"
-    kernel = getattr(agg, name)
+    kernel = agg.reach
     walks = [0]
 
     def counted(self, *args):
         walks[0] += 1
         return kernel(self, *args)
 
-    setattr(agg, name, counted)
+    agg.reach = counted
     return walks
 
 
@@ -213,11 +210,9 @@ def main(argv=None) -> int:
             ("base", "new"), trees, before, walks, walks_before
         ):
             counts = [f"{walked[0] - start_walks} walks"] if oracle else []
-            if start is not None:
-                hits, misses = (a - b for a, b in zip(cache_counts(tree), start))
-                counts.append(f"lift cache {hits} hits, {misses} misses")
-            if counts:
-                line += f"; {label} " + ", ".join(counts)
+            hits, misses = (a - b for a, b in zip(cache_counts(tree), start))
+            counts.append(f"lift cache {hits} hits, {misses} misses")
+            line += f"; {label} " + ", ".join(counts)
         print(line, flush=True)
     print(
         f"identical pattern_to_dict outputs on {len(jobs[0])} {args.workload}"

@@ -191,6 +191,10 @@ class Agg(Lifting):
                 drop &= drop - 1
             up &= ~seen_up
             down &= ~(seen_down | seen_up & free)
+            # stop early: complete walks (one per perspective, source and Z)
+            # cut an oracle-grid pass from 336,161 walks to 291,658 with the
+            # same patterns, yet ran slower, since every walk then runs to
+            # its end (scripts/ab_learns.py median ratio 0.754, 5 passes)
             if (up | down) & target:
                 break
         return (seen_up | seen_down | up | down) & free & ~(1 << x)

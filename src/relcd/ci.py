@@ -29,7 +29,6 @@ of separating sets).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import combinations
 
@@ -39,7 +38,7 @@ from scipy import special
 from .agg import Agg, NodeTable, bits, build_agg
 from .model import RelationalModel, RelationalVariable
 from .paths import is_valid
-from .skeleton import Skeleton, TerminalSets
+from .skeleton import Skeleton, TerminalSets, terminal_means
 
 
 def check_query(
@@ -143,11 +142,20 @@ class OracleCI:
         return f"variable outside oracle node set at {self.hops} hops: {v}"
 
 
+def check_regression_parameters(alpha: float, effect_threshold: float) -> None:
+    """Raise ``ValueError`` unless ``RegressionCI`` accepts both parameters."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not effect_threshold >= 0:
+        raise ValueError("effect_threshold must be >= 0")
+
+
 class RegressionCI:
     """Linear-regression test on skeleton data with average aggregation.
 
     One row per perspective instance; each variable column is the mean of
-    its terminal-set values, and rows touching an empty terminal set are
+    its terminal-set values (``skeleton.terminal_means``, which the sampler
+    aggregates with too), and rows touching an empty terminal set are
     dropped. Terminal sets come from one ``TerminalSets`` walker that
     lives as long as the backend, so each distinct path prefix costs one
     sparse hop, and a path's terminal sets serve every attribute on it.
@@ -163,10 +171,7 @@ class RegressionCI:
         alpha: float = 0.05,
         effect_threshold: float = 0.01,
     ):
-        if not 0 < alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not effect_threshold >= 0:
-            raise ValueError("effect_threshold must be >= 0")
+        check_regression_parameters(alpha, effect_threshold)
         if not skeleton.values:
             raise ValueError("skeleton carries no attribute values")
         for node in skeleton.nodes():
@@ -185,7 +190,6 @@ class RegressionCI:
         cached = self._columns.get(var)
         if cached is not None:
             return cached
-        reach = self._reach(var.path)
         cls = var.path.last
         values = self._values.get((cls, var.attribute))
         if values is None:
@@ -195,24 +199,7 @@ class RegressionCI:
                     for inst in self.skeleton.instances_of(cls)
                 ]
             )
-        picked = values[reach.indices]
-        starts = reach.indptr[:-1]
-        counts = np.diff(reach.indptr)
-        col = np.zeros(len(counts))
-        # fsum is exact, so the mean cannot depend on summation order. One
-        # IEEE add is correctly rounded too, so rows of one or two members
-        # match it; adding 0.0 turns -0.0 into the 0.0 fsum returns.
-        one = np.flatnonzero(counts == 1)
-        col[one] = picked[starts[one]] + 0.0
-        two = np.flatnonzero(counts == 2)
-        col[two] = (picked[starts[two]] + picked[starts[two] + 1] + 0.0) / 2
-        flat = picked.tolist()
-        bounds = reach.indptr.tolist()
-        for i in np.flatnonzero(counts > 2).tolist():
-            lo, hi = bounds[i], bounds[i + 1]
-            col[i] = math.fsum(flat[lo:hi]) / (hi - lo)
-        ok = counts > 0
-        self._columns[var] = (col, ok)
+        col, ok = self._columns[var] = terminal_means(self._reach(var.path), values)
         return col, ok
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:

@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 
 from .agg import agg_to_dot
-from .ci import OracleCI, RegressionCI, ask, check_query, oriented_agg
+from .ci import (
+    OracleCI, RegressionCI, ask, check_query, check_regression_parameters, oriented_agg,
+)
 from .errors import Infeasible
 from .harness import (
     BENCH_COLUMNS,
@@ -109,13 +111,16 @@ def cmd_learn(args) -> None:
         raise ValueError("--runs must be >= 1")
     if not 0 < args.vote_threshold <= 1:
         raise ValueError("--vote-threshold must lie in (0, 1]")
+    # each flag is checked whichever backend reads it; only an oracle must
+    # reach the variables the learner asks about
+    check_regression_parameters(args.alpha, args.effect_threshold)
+    check_oracle_hops(args.oracle_hops, args.hop_threshold if args.model else 0)
     if args.model:
         model = _read_model(args.model)
         if model.schema != schema:
             raise ValueError(
                 f"the schema of --model {args.model} differs from --schema {args.schema}"
             )
-        check_oracle_hops(args.oracle_hops, args.hop_threshold)
         backend = OracleCI(model, hops=args.oracle_hops)
     else:
         skeleton = load_skeleton(schema, args.data)
@@ -185,6 +190,7 @@ def cmd_gg_export(args) -> None:
 
 
 def cmd_agg_export(args) -> None:
+    check_oracle_hops(args.hops)  # the oracle's graph; no learner bounds its hops
     model = _read_model(args.model)
     _write(agg_to_dot(oriented_agg(model, args.perspective, args.hops)), args.output)
 

@@ -43,8 +43,9 @@ class TrialConfig:
         check_oracle_hops(self.oracle_hops, self.hop_threshold)
 
 
-def check_oracle_hops(oracle_hops: int, hop_threshold: int) -> None:
-    """Refuse an oracle that knows fewer hops than the learner asks about."""
+def check_oracle_hops(oracle_hops: int, hop_threshold: int = 0) -> None:
+    """Refuse negative hops, or an oracle that knows fewer hops than a
+    learner at ``hop_threshold`` asks about."""
     if oracle_hops < 0:
         raise ValueError("hops must be >= 0")
     if oracle_hops < 2 * hop_threshold:

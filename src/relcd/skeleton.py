@@ -9,7 +9,8 @@ linear-Gaussian data can be sampled.
 at once, as boolean products of the skeleton's sparse hop incidence
 matrices. It memoises every path prefix it walks, so paths that share a
 prefix share its hops; the regression backend keeps one for its lifetime,
-and ``ground_graph`` one per call.
+and ``ground_graph`` and ``sample_data`` one per call. ``terminal_means``
+averages over a walker's rows, for the regression test and the sampler alike.
 """
 
 from __future__ import annotations
@@ -190,6 +191,32 @@ class TerminalSets:
         return frontier
 
 
+def terminal_means(
+    reach: sparse.csr_array, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``TerminalSets`` row's mean of ``values`` (in ``instances_of``
+    order), and which rows have members (the others read 0.0).
+
+    fsum is exact, so the mean cannot depend on summation order. One IEEE
+    add is correctly rounded too, so rows of one or two members match it
+    vectorised; adding 0.0 turns -0.0 into the 0.0 fsum returns.
+    """
+    picked = values[reach.indices]
+    starts = reach.indptr[:-1]
+    counts = np.diff(reach.indptr)
+    means = np.zeros(len(counts))
+    one = np.flatnonzero(counts == 1)
+    means[one] = picked[starts[one]] + 0.0
+    two = np.flatnonzero(counts == 2)
+    means[two] = (picked[starts[two]] + picked[starts[two] + 1] + 0.0) / 2
+    flat = picked.tolist()
+    bounds = reach.indptr.tolist()
+    for i in np.flatnonzero(counts > 2).tolist():
+        lo, hi = bounds[i], bounds[i + 1]
+        means[i] = math.fsum(flat[lo:hi]) / (hi - lo)
+    return means, counts > 0
+
+
 def random_skeleton(
     schema: Schema,
     sizes: dict[str, int],
@@ -264,10 +291,11 @@ class GroundGraph:
     """Directed instantiation of a model on a skeleton.
 
     ``parents`` groups each node's parents by the dependency that produced
-    them, which is what the linear-Gaussian sampler aggregates over.
+    them; the sampler walks the same terminal sets on ``skeleton`` instead.
     """
 
     model: RelationalModel
+    skeleton: Skeleton
     nodes: tuple[Node, ...]
     parents: dict[Node, dict[object, tuple[Node, ...]]]
 
@@ -302,20 +330,20 @@ def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
                 continue
             child = (effect_cls, inst, dep.effect.attribute)
             parents.setdefault(child, {})[dep] = tuple(causes[j] for j in indices[lo:hi])
-    return GroundGraph(model, nodes, parents)
+    return GroundGraph(model, skeleton, nodes, parents)
 
 
 def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
-    """Linear-Gaussian sampling, one attribute class at a time.
+    """Linear-Gaussian sampling, one dependency at a time.
 
     Each dependency draws one coefficient, uniform in ``COEFF_RANGE`` with a
-    random sign; a node's value sums, over its dependency groups,
-    coefficient times the group's parent average, plus Gaussian noise of
-    scale ``NOISE_SD``. Every ground edge instantiates a dependency of the
-    model, so visiting attribute classes by the length of their longest
-    chain of causes computes every parent before its children. Values are
-    deterministic for a given seed and do not depend on the visiting order
-    within a rank.
+    random sign, and each node, in sorted order, noise of scale ``NOISE_SD``.
+    A node's value is its noise plus, per dependency of its attribute class
+    with a non-empty terminal set from the node, the coefficient times the
+    cause's ``terminal_means`` average, the aggregate ``RegressionCI`` tests.
+    Dependencies go by the length of their effect's longest chain of causes,
+    so every cause is complete before it is read, and in text order within
+    an attribute class. Values are deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     lo, hi = COEFF_RANGE
@@ -324,7 +352,19 @@ def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
         for dep in gg.model.dependencies
     }
     ordered = sorted(gg.nodes)
-    noise = dict(zip(ordered, rng.normal(0.0, NOISE_SD, size=len(ordered))))
+    drawn = rng.normal(0.0, NOISE_SD, size=len(ordered))
+    # sorted nodes list each class's instances in instances_of order, each
+    # with its attributes sorted, so an attribute class's values are every
+    # m-th entry of its class's block: a view that sampling writes through
+    skeleton = gg.skeleton
+    columns: dict[AttributeClass, np.ndarray] = {}
+    start = 0
+    for cls in sorted(skeleton.schema.item_classes):
+        attrs = sorted(skeleton.schema.attributes_of(cls))
+        end = start + len(skeleton.instances_of(cls)) * len(attrs)
+        for k, attr in enumerate(attrs):
+            columns[AttributeClass(cls, attr)] = drawn[start + k : end : len(attrs)]
+        start = end
     # longest chain of causes above each attribute class: in an acyclic
     # model no chain has more links than there are dependencies
     deps = gg.model.dependencies
@@ -333,16 +373,15 @@ def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
         for dep in deps:
             cause, effect = dep.cause.attribute_class, dep.effect.attribute_class
             rank[effect] = max(rank.get(effect, 0), rank.get(cause, 0) + 1)
-    values: dict[Node, float] = {}
-    # a stable sort keeps each attribute class's nodes in sorted order
-    for node in sorted(
-        ordered, key=lambda n: rank.get(AttributeClass(n[0], n[2]), 0)
-    ):
-        total = noise[node]
-        for dep, group in gg.parents.get(node, {}).items():
-            total += coeffs[dep] * float(np.mean([values[p] for p in group]))
-        values[node] = float(total)
-    return values
+    walker = TerminalSets(skeleton)
+    # a stable sort keeps each attribute class's dependencies in text order
+    for dep in sorted(deps, key=lambda d: rank[d.effect.attribute_class]):
+        means, has = terminal_means(
+            walker(dep.cause.path), columns[dep.cause.attribute_class]
+        )
+        target = columns[dep.effect.attribute_class]
+        target[has] += coeffs[dep] * means[has]
+    return dict(zip(ordered, drawn.tolist()))
 
 
 def save_skeleton(skeleton: Skeleton, directory: str | Path) -> Path:

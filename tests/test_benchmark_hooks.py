@@ -24,7 +24,7 @@ def _tracer():
     return module.Tracer()
 
 
-# column building reads terminal_sets, so only terminal_set is unused
+# column building walks paths through TerminalSets, so only terminal_set is unused
 UNUSED = {
     "skeleton.terminal_set (relcd.ci.terminal_set)",
     "skeleton.terminal_set (relcd.skeleton.terminal_set)",

@@ -343,6 +343,18 @@ def test_agg_export(tmp_path, movie_files):
     assert '"[ACTOR].Popularity" -> "[ACTOR, STARS-IN, MOVIE].Success"' in dot
 
 
+def test_agg_export_names_negative_hops(tmp_path, capsys, movie_files):
+    schema_path, model_path = movie_files
+    out = tmp_path / "actor.dot"
+    argv = [
+        "agg", "export", "--model", model_path, "--perspective", "ACTOR",
+        "--hops", -1, "-o", out,
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: hops must be >= 0\n"
+    assert not out.exists()
+
+
 def test_gg_export(tmp_path, movie_files, movie_schema):
     schema_path, model_path = movie_files
     skel_dir = tmp_path / "skel"
@@ -608,6 +620,28 @@ def test_grid_refuses_oracle_hops_below_the_learners(tmp_path, capsys, command, 
     out = tmp_path / "grid.csv"
     # 3-entity trials reach variables beyond 6 hops
     assert run(_grid(command, "--entities", "3", *extra, "-o", out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["model", "data"])
+@pytest.mark.parametrize(
+    ("extra", "message"),
+    [
+        (["--alpha", 5], "alpha must lie in (0, 1)"),
+        (["--effect-threshold", -3], "effect_threshold must be >= 0"),
+        (["--oracle-hops", -1], "hops must be >= 0"),
+    ],
+    ids=["alpha5", "effect-threshold-3", "oracle-hops-1"],
+)
+def test_learn_checks_every_flag_whatever_the_backend(
+    tmp_path, capsys, seed7_files, backend, extra, message
+):
+    schema_path, skel_dir = seed7_files
+    source = tmp_path / "model.json" if backend == "model" else skel_dir / "manifest.json"
+    out = tmp_path / "learned.json"
+    argv = ["learn", "--schema", schema_path, f"--{backend}", source, *extra, "-o", out]
+    assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

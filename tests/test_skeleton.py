@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import networkx as nx
@@ -323,7 +324,7 @@ def node_order_sample(gg, seed, coeff_range=(0.3, 0.7), noise_sd=1.0):
     for node in nx.lexicographical_topological_sort(ground_digraph(gg)):
         total = noise[node]
         for d, group in gg.parents.get(node, {}).items():
-            total += coeffs[d] * float(np.mean([values[p] for p in group]))
+            total += coeffs[d] * (math.fsum(values[p] for p in group) / len(group))
         values[node] = float(total)
     return values
 

@@ -24,9 +24,12 @@ differ by a quarter on a loaded machine, where interleaved passes agree far
 closer.
 
 The script fails unless both trees give identical ``pattern_to_dict``
-outputs, CI-test counts included. It prints each pass's time per tree and
-their ratio (base / new; above 1 means the new tree is faster), then the
-median ratio. It also prints each tree's ``agg.lift`` cache hits and
+outputs, CI-test counts included. On data-vote it also fails, before any
+timing, unless both trees sample bit-identical values for each skeleton
+(``sample_data``'s values in node order, compared as the bytes of one
+float array), so a change to how the sampler rounds shows even where the
+votes still agree. It prints each pass's time per tree and their ratio
+(base / new; above 1 means the new tree is faster), then the median ratio. It also prints each tree's ``agg.lift`` cache hits and
 misses within each pass. On oracle-grid it prints each tree's Bayes-ball
 walks within each pass, counted by wrapping ``Agg.reach``. The wrapper
 costs each walk the same small time in both trees, so it slightly favours
@@ -77,10 +80,11 @@ def load_tree(src: Path, name: str):
 
 
 def oracle_panel(tree, workloads, workdir: Path):
-    """``OracleGrid.setup``'s cases, in panel order, as learns to time."""
+    """``OracleGrid.setup``'s cases, in panel order, as learns to time, and
+    no sampled values."""
     grid = workloads.OracleGrid
     hops = tree["rcd"].LearnConfig().hop_threshold
-    return [
+    return [], [
         partial(learn_oracle, tree, *tree["harness"].generate_case(
             e, d, hops, np.random.SeedSequence(entropy=0, spawn_key=(e, d, t))
         ))
@@ -95,7 +99,8 @@ def learn_oracle(tree, schema, truth):
 
 
 def vote_panel(tree, workloads, workdir: Path):
-    """``DataVote.setup``'s votes, in panel order, as votes to time."""
+    """``DataVote.setup``'s votes, in panel order, as votes to time, and
+    the bytes of each skeleton's sampled values in node order."""
     harness, skeleton = tree["harness"], tree["skeleton"]
     vote, derive = workloads.DataVote, workloads.derive
     hops = tree["rcd"].LearnConfig().hop_threshold
@@ -106,16 +111,18 @@ def vote_panel(tree, workloads, workdir: Path):
         if all(one not in rel.cards for rel in schema.relationships):
             break
     sizes = dict.fromkeys(schema.entity_names, vote.size)
-    loaded = []
+    loaded, sampled = [], []
     for j in range(vote.skeletons):
         skel = skeleton.random_skeleton(
             schema, sizes, workloads.DENSITY, seed=derive(0, 1, j)
         )
         gg = skeleton.ground_graph(truth, skel)
-        written = skel.with_values(skeleton.sample_data(gg, seed=derive(0, 2, j)))
+        values = skeleton.sample_data(gg, seed=derive(0, 2, j))
+        sampled.append(np.array(list(values.values())).tobytes())
+        written = skel.with_values(values)
         manifest = skeleton.save_skeleton(written, workdir / f"skeleton{j}")
         loaded.append(skeleton.load_skeleton(schema, manifest))
-    return [
+    return sampled, [
         partial(learn_vote, tree, schema, loaded[j % vote.skeletons],
                 derive(0, 3, j), vote.runs)
         for j in range(vote.unit_ops)
@@ -181,10 +188,14 @@ def main(argv=None) -> int:
     trees = [load_tree(args.base, "relcd_base"), load_tree(args.new, "relcd_new")]
     workloads = benchmark_workloads(args.base)
     with tempfile.TemporaryDirectory() as workdir:
-        jobs = [
+        sampled, jobs = zip(*(
             PANELS[args.workload](tree, workloads, Path(workdir, label))
             for tree, label in zip(trees, ("base", "new"))
-        ]
+        ))
+    for j, (base, new) in enumerate(zip(*sampled)):
+        if base != new:
+            print(f"skeleton {j}: the trees sample different values", file=sys.stderr)
+            return 1
     oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
     ratios = []
@@ -218,6 +229,8 @@ def main(argv=None) -> int:
         f"identical pattern_to_dict outputs on {len(jobs[0])} {args.workload}"
         f" items x {args.passes} passes"
     )
+    if sampled[0]:
+        print(f"identical sampled values on {len(sampled[0])} skeletons")
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
     if not oracle:
         for label, tree_jobs in zip(("base", "new"), jobs):

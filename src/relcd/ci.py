@@ -29,6 +29,7 @@ of separating sets).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -156,9 +157,10 @@ class RegressionCI:
     One row per perspective instance; each variable column is the mean of
     its terminal-set values (``skeleton.terminal_means``, which the sampler
     aggregates with too), and rows touching an empty terminal set are
-    dropped. Terminal sets come from one ``TerminalSets`` walker that
-    lives as long as the backend, so each distinct path prefix costs one
-    sparse hop, and a path's terminal sets serve every attribute on it.
+    dropped. Every node needs a finite value. Terminal sets come from one
+    ``TerminalSets`` walker that lives as long as the backend, so each
+    distinct path prefix costs one sparse hop, and a path's terminal sets
+    serve every attribute on it.
     Dependence requires the regressor of interest to be both significant at
     ``alpha`` and above the standardized effect threshold. A query with
     too few usable rows, or with a constant column, is reported independent
@@ -175,8 +177,11 @@ class RegressionCI:
         if not skeleton.values:
             raise ValueError("skeleton carries no attribute values")
         for node in skeleton.nodes():
-            if node not in skeleton.values:
+            value = skeleton.values.get(node)
+            if value is None:
                 raise ValueError(f"skeleton has no value for {node}")
+            if not math.isfinite(value):
+                raise ValueError(f"skeleton value for {node} is not finite: {value!r}")
         self.skeleton = skeleton
         self.alpha = alpha
         self.effect_threshold = effect_threshold

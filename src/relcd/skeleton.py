@@ -11,6 +11,12 @@ matrices. It memoises every path prefix it walks, so paths that share a
 prefix share its hops; the regression backend keeps one for its lifetime,
 and ``ground_graph`` and ``sample_data`` one per call. ``terminal_means``
 averages over a walker's rows, for the regression test and the sampler alike.
+Its means are exact (``math.fsum(row) / len(row)``, bit for bit) without a
+loop over rows: each value splits exactly into a part on a power-of-two grid
+coarse enough that any row's sum of those parts is exact, and a remainder
+whose row sums are exact too wherever it lies on a second, finer grid. Only
+rows with a remainder off that grid, or inputs too large or not finite for
+the grid, fall back to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -197,24 +203,56 @@ def terminal_means(
     """Each ``TerminalSets`` row's mean of ``values`` (in ``instances_of``
     order), and which rows have members (the others read 0.0).
 
-    fsum is exact, so the mean cannot depend on summation order. One IEEE
-    add is correctly rounded too, so rows of one or two members match it
-    vectorised; adding 0.0 turns -0.0 into the 0.0 fsum returns.
+    Every mean is bit for bit ``math.fsum(row) / len(row)``: the row sum
+    correctly rounded, so it cannot depend on summation order. Segmented
+    numpy sums reach it by splitting each value on a power-of-two grid
+    (Rump, Ogita & Oishi's ExtractScalar):
+
+    - ``2**q`` is chosen so that ``max|value| * (nmax + 1) < 2**(q + 52)``,
+      ``nmax`` being the longest row. For ``c = 1.5 * 2**(q + 52)``,
+      ``hi = (x + c) - c`` is ``x`` rounded to a multiple of ``2**q`` and
+      ``lo = x - hi`` the rest, both exact.
+    - A row's ``hi`` sum stays a multiple of ``2**q`` below ``2**(q + 53)``,
+      so it is exact in any order. Its ``lo`` sum is exact too where every
+      ``lo`` lies on the finer grid ``2**(q + nmax.bit_length() - 52)``:
+      it then stays within 51 bits of that grid.
+    - One IEEE add of two exact sums is the correctly rounded row sum. No
+      ``hi`` is -0.0, so neither is the sum, as with fsum.
+
+    A row with a ``lo`` off its grid takes ``math.fsum``, as every row does
+    where the bound or ``c`` would not stay finite: NaN, infinity or values
+    near the float maximum. fsum raises ``OverflowError`` for a row whose
+    sum overflows.
     """
     picked = values[reach.indices]
-    starts = reach.indptr[:-1]
-    counts = np.diff(reach.indptr)
+    indptr = reach.indptr
+    counts = np.diff(indptr)
+    has = counts > 0
     means = np.zeros(len(counts))
-    one = np.flatnonzero(counts == 1)
-    means[one] = picked[starts[one]] + 0.0
-    two = np.flatnonzero(counts == 2)
-    means[two] = (picked[starts[two]] + picked[starts[two] + 1] + 0.0) / 2
-    flat = picked.tolist()
-    bounds = reach.indptr.tolist()
-    for i in np.flatnonzero(counts > 2).tolist():
-        lo, hi = bounds[i], bounds[i + 1]
-        means[i] = math.fsum(flat[lo:hi]) / (hi - lo)
-    return means, counts > 0
+    if not picked.size:
+        return means, has
+    nmax = int(counts.max())
+    bound = max(float(picked.max()), -float(picked.min())) * (nmax + 1)
+    exponent = math.frexp(bound)[1]  # bound < 2**exponent
+    rows = np.flatnonzero(has)
+    fallback = rows
+    # c + x stays below 2**(exponent + 1), so finite
+    if math.isfinite(bound) and exponent <= 1022:
+        q = exponent - 52
+        c = math.ldexp(1.5, q + 52)
+        hi = (picked + c) - c
+        lo = picked - hi
+        starts = indptr[rows]
+        sums = np.add.reduceat(hi, starts) + np.add.reduceat(lo, starts)
+        means[rows] = sums / counts[rows]
+        # the same split on the finer grid keeps exactly the lo on it
+        c_lo = math.ldexp(1.5, q + nmax.bit_length())
+        off = (lo + c_lo) - c_lo != lo
+        fallback = rows[np.logical_or.reduceat(off, starts)] if off.any() else rows[:0]
+    for i in fallback.tolist():
+        start, end = indptr[i], indptr[i + 1]
+        means[i] = math.fsum(picked[start:end].tolist()) / (end - start)
+    return means, has
 
 
 def random_skeleton(

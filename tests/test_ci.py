@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -412,6 +413,18 @@ def test_regression_requires_every_value(movie_data):
     )
     with pytest.raises(ValueError, match="no value for"):
         RegressionCI(partial)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_regression_rejects_non_finite_values(movie_schema, movie_truth, bad):
+    # such a column used to fail in the middle of a learn (SVD did not converge)
+    skel = random_skeleton(movie_schema, {"ACTOR": 30, "MOVIE": 30}, 2.0, seed=0)
+    values = sample_data(ground_graph(movie_truth, skel), seed=1)
+    first = ("ACTOR", skel.instances["ACTOR"][3], "Popularity")
+    values[first] = bad
+    values[("MOVIE", skel.instances["MOVIE"][0], "Success")] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{first} is not finite")):
+        RegressionCI(skel.with_values(values))
 
 
 def test_regression_invariant_to_rescaling(movie_data):

@@ -1,13 +1,16 @@
 import json
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from relcd import skeleton
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import RelationalModel, random_model
@@ -21,6 +24,7 @@ from relcd.skeleton import (
     random_skeleton,
     sample_data,
     save_skeleton,
+    terminal_means,
 )
 from tests.conftest import dep, single_entity_schema
 from tests.reference import dsep_ground, ground_digraph, is_acyclic, terminal_set
@@ -343,6 +347,141 @@ def test_sample_data_deterministic(movie_truth, tiny_movie_skeleton):
     gg = ground_graph(movie_truth, tiny_movie_skeleton)
     assert sample_data(gg, seed=3) == sample_data(gg, seed=3)
     assert sample_data(gg, seed=3) != sample_data(gg, seed=4)
+
+
+# value arrays for terminal_means, each of one kind of float
+MEAN_VALUES = {
+    "gaussian": lambda rng, n: rng.normal(size=n),
+    # magnitudes 1e-300 to 1e300 in one row
+    "wide": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n),
+    "signed-zeros": lambda rng, n: rng.choice((0.0, -0.0, 0.0, -0.0, 1.5, -2.25), size=n),
+    # whole multiples of the smallest subnormal, and some of the smallest normals
+    "subnormal": lambda rng, n: rng.integers(-(2**40), 2**40, size=n)
+    * rng.choice((5e-324, 2.0**-1022 / 2**30), size=n),
+    # any two of these overflow a sum
+    "near-max": lambda rng, n: rng.uniform(0.9, 1.0, size=n) * 1.7e308,
+}
+
+
+def fsum_means(reach, values):
+    """Reference row means: ``math.fsum(row) / len(row)``, 0.0 for no row."""
+    bounds = reach.indptr.tolist()
+    rows = [values[reach.indices[lo:hi]].tolist() for lo, hi in zip(bounds, bounds[1:])]
+    return np.array([math.fsum(row) / len(row) if row else 0.0 for row in rows], dtype=float)
+
+
+def fsum_rows_taken(rows):
+    """Patch ``math.fsum`` as ``terminal_means`` sees it, recording each row."""
+    fsum = math.fsum
+    return mock.patch.object(skeleton.math, "fsum", lambda row: rows.append(row) or fsum(row))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(MEAN_VALUES)),
+    num_rows=st.integers(0, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_terminal_means_match_fsum_bit_for_bit(seed, kind, num_rows):
+    rng = np.random.default_rng(seed)
+    num_values = int(rng.integers(1, 300))
+    counts = np.minimum(rng.integers(0, 151, size=num_rows), num_values)
+    indices = [np.sort(rng.choice(num_values, c, replace=False)) for c in counts]
+    reach = sparse.csr_array(
+        (
+            np.ones(int(counts.sum()), dtype=bool),
+            np.concatenate([np.zeros(0, np.int32), *indices]).astype(np.int32),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+        ),
+        shape=(num_rows, num_values),
+    )
+    values = MEAN_VALUES[kind](rng, num_values)
+    try:
+        want = fsum_means(reach, values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            terminal_means(reach, values)
+        return
+    fsum_rows = []
+    with fsum_rows_taken(fsum_rows):
+        means, has = terminal_means(reach, values)
+    assert means.tobytes() == want.tobytes()
+    assert has.tolist() == (counts > 0).tolist()
+    if kind == "wide" and np.abs(values).max() > 1e200:
+        # a nonzero member below 1e-200 lies off the split's finer grid
+        tiny = [row for row in indices if (np.abs(values[row]) < 1e-200).any()]
+        assert len(fsum_rows) >= len(tiny)
+
+
+def rows_of_values(rows):
+    """A terminal-set array whose rows reach disjoint positions, and the
+    values there: row ``i`` of the array averages ``rows[i]``."""
+    counts = [len(row) for row in rows]
+    reach = sparse.csr_array(
+        (
+            np.ones(sum(counts), dtype=bool),
+            np.arange(sum(counts), dtype=np.int32),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+        ),
+        shape=(len(rows), sum(counts)),
+    )
+    return reach, np.array([x for row in rows for x in row])
+
+
+# alone in a row its bound is just below 2**1023, where c + BIG would round to inf
+BIG = np.nextafter(2.0**1022, 0.0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [-0.0],
+        [-0.0, -0.0, 0.0],
+        [1.0, -1.0],
+        # a tie that only the smallest member breaks
+        [1.0, 2.0**-53, 2.0**-106],
+        [-1.0, -(2.0**-53), -(2.0**-106)],
+        [1e300, 1e-300, -1e300],
+        [5e-324],
+        [5e-324, -1e-323, 2.0**-1022],
+        [BIG],
+        [BIG, -BIG],
+        [1.7e308, -1.7e308],
+        [1.7e308, 1.7e308],
+    ],
+)
+def test_terminal_means_at_float_limits(row):
+    # each row alone, then after a row that sets a coarser grid
+    for rows in ([row], [[64.0] * 150, row]):
+        reach, values = rows_of_values(rows)
+        try:
+            want = fsum_means(reach, values)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                terminal_means(reach, values)
+            continue
+        assert terminal_means(reach, values)[0].tobytes() == want.tobytes()
+
+
+def test_terminal_means_need_no_fsum_on_sampled_data(movie_truth):
+    # every movie-schema column of sampled data, and the sampler's own means,
+    # take the split: no row falls back to math.fsum
+    schema = movie_truth.schema
+    fsum_rows = []
+    with fsum_rows_taken(fsum_rows):
+        skel = random_skeleton(schema, {"ACTOR": 300, "MOVIE": 300}, 3.0, seed=0)
+        values = sample_data(ground_graph(movie_truth, skel), seed=1)
+        walker = TerminalSets(skel)
+        widest = 0
+        for cls in schema.item_classes:
+            for p in enumerate_paths(schema, cls, 4):
+                reach = walker(p)
+                widest = max(widest, int(np.diff(reach.indptr).max()))
+                for attr in schema.attributes_of(p.last):
+                    column = [values[(p.last, r, attr)] for r in skel.instances_of(p.last)]
+                    terminal_means(reach, np.array(column))
+    assert widest > 20  # co-star rows are long
+    assert fsum_rows == []
 
 
 def test_dsep_ground_collider(movie_truth, tiny_movie_skeleton):

@@ -33,10 +33,14 @@ votes still agree. It prints each pass's time per tree and their ratio
 misses within each pass. On oracle-grid it prints each tree's Bayes-ball
 walks within each pass, counted by wrapping ``Agg.reach``. The wrapper
 costs each walk the same small time in both trees, so it slightly favours
-the tree that walks less. On data-vote it ends with one untimed pass per
-tree under ``tracemalloc`` and prints the peak MB each tree's votes trace,
-so a trade of memory for speed shows before the benchmark's
-``peak_rss_mb`` bound refuses it.
+the tree that walks less. On data-vote each pass also times each tree's
+set-up once more (the draw, ground, sample, write and read-back of the
+skeletons, as ``DataVote.setup`` does), the trees in turn first from pass
+to pass; it prints those times and their ratio with the pass, and their
+median ratio at the end. It ends with one untimed pass per tree under
+``tracemalloc`` and prints the peak MB each tree's votes trace, so a trade
+of memory for speed shows before the benchmark's ``peak_rss_mb`` bound
+refuses it.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ def load_tree(src: Path, name: str):
 
 
 def oracle_panel(tree, workloads, workdir: Path):
-    """``OracleGrid.setup``'s cases, in panel order, as learns to time, and
-    no sampled values."""
+    """``OracleGrid.setup``'s cases, in panel order, as learns to time, no
+    sampled values and no set-up to time."""
     grid = workloads.OracleGrid
     hops = tree["rcd"].LearnConfig().hop_threshold
     return [], [
@@ -90,7 +94,7 @@ def oracle_panel(tree, workloads, workdir: Path):
         ))
         for t in range(grid.unit_ops // len(grid.cells))
         for e, d in grid.cells
-    ]
+    ], None
 
 
 def learn_oracle(tree, schema, truth):
@@ -99,8 +103,22 @@ def learn_oracle(tree, schema, truth):
 
 
 def vote_panel(tree, workloads, workdir: Path):
-    """``DataVote.setup``'s votes, in panel order, as votes to time, and
-    the bytes of each skeleton's sampled values in node order."""
+    """``DataVote.setup``'s votes, in panel order, as votes to time, the
+    bytes of each skeleton's sampled values in node order, and the set-up,
+    to time again."""
+    setup = partial(vote_setup, tree, workloads, workdir)
+    schema, sampled, loaded = setup()
+    vote, derive = workloads.DataVote, workloads.derive
+    return sampled, [
+        partial(learn_vote, tree, schema, loaded[j % vote.skeletons],
+                derive(0, 3, j), vote.runs)
+        for j in range(vote.unit_ops)
+    ], setup
+
+
+def vote_setup(tree, workloads, workdir: Path):
+    """``DataVote.setup`` with this tree's modules: the schema, each
+    skeleton's sampled values as bytes, and the skeletons read back."""
     harness, skeleton = tree["harness"], tree["skeleton"]
     vote, derive = workloads.DataVote, workloads.derive
     hops = tree["rcd"].LearnConfig().hop_threshold
@@ -122,11 +140,7 @@ def vote_panel(tree, workloads, workdir: Path):
         written = skel.with_values(values)
         manifest = skeleton.save_skeleton(written, workdir / f"skeleton{j}")
         loaded.append(skeleton.load_skeleton(schema, manifest))
-    return sampled, [
-        partial(learn_vote, tree, schema, loaded[j % vote.skeletons],
-                derive(0, 3, j), vote.runs)
-        for j in range(vote.unit_ops)
-    ]
+    return schema, sampled, loaded
 
 
 def learn_vote(tree, schema, data, seed, runs):
@@ -188,18 +202,29 @@ def main(argv=None) -> int:
     trees = [load_tree(args.base, "relcd_base"), load_tree(args.new, "relcd_new")]
     workloads = benchmark_workloads(args.base)
     with tempfile.TemporaryDirectory() as workdir:
-        sampled, jobs = zip(*(
-            PANELS[args.workload](tree, workloads, Path(workdir, label))
-            for tree, label in zip(trees, ("base", "new"))
-        ))
+        return run_passes(args, trees, workloads, Path(workdir))
+
+
+def run_passes(args, trees, workloads, workdir: Path) -> int:
+    sampled, jobs, setups = zip(*(
+        PANELS[args.workload](tree, workloads, workdir / label)
+        for tree, label in zip(trees, ("base", "new"))
+    ))
     for j, (base, new) in enumerate(zip(*sampled)):
         if base != new:
             print(f"skeleton {j}: the trees sample different values", file=sys.stderr)
             return 1
     oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
-    ratios = []
+    ratios, setup_ratios = [], []
     for p in range(args.passes):
+        setup_seconds = [0.0, 0.0]
+        if not oracle:
+            for t in (0, 1) if p % 2 == 0 else (1, 0):
+                began = time.perf_counter()
+                setups[t]()
+                setup_seconds[t] = time.perf_counter() - began
+            setup_ratios.append(setup_seconds[0] / setup_seconds[1])
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
         walks_before = [w[0] for w in walks]
@@ -217,6 +242,11 @@ def main(argv=None) -> int:
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
             f"ratio {ratios[-1]:.3f}"
         )
+        if not oracle:
+            line += (
+                f"; set-up base {setup_seconds[0]:.3f} s, new {setup_seconds[1]:.3f} s, "
+                f"ratio {setup_ratios[-1]:.3f}"
+            )
         for label, tree, start, walked, start_walks in zip(
             ("base", "new"), trees, before, walks, walks_before
         ):
@@ -233,6 +263,7 @@ def main(argv=None) -> int:
         print(f"identical sampled values on {len(sampled[0])} skeletons")
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
     if not oracle:
+        print(f"median set-up ratio (base / new): {statistics.median(setup_ratios):.3f}")
         for label, tree_jobs in zip(("base", "new"), jobs):
             peaks = traced_peaks(tree_jobs)
             print(

@@ -1,22 +1,22 @@
 """Instance-level data: skeletons, terminal sets, ground graphs, sampling.
 
 A skeleton holds entity and relationship instances conforming to a schema.
-Pairing a skeleton with a model instantiates every dependency into a
-directed graph over (instance, attribute) nodes, from which synthetic
-linear-Gaussian data can be sampled.
+Pairing a skeleton with a model gives a directed graph over (instance,
+attribute) nodes, its parent lists built when first read, and synthetic
+linear-Gaussian data sampled from the pair alone.
 
-``TerminalSets`` follows relational paths from every perspective instance
-at once, as boolean products of the skeleton's sparse hop incidence
-matrices. It memoises every path prefix it walks, so paths that share a
-prefix share its hops; the regression backend keeps one for its lifetime,
-and ``ground_graph`` and ``sample_data`` one per call. ``terminal_means``
+``TerminalSets`` follows relational paths from every perspective instance at
+once, as boolean products of the skeleton's sparse hop incidence matrices. It
+memoises every path prefix it walks, so paths that share a prefix share its
+hops; the regression backend keeps one for its lifetime, ``sample_data`` one
+per call, and a ground graph one to build its parents. ``terminal_means``
 averages over a walker's rows, for the regression test and the sampler alike.
 Its means are exact (``math.fsum(row) / len(row)``, bit for bit) without a
 loop over rows: each value splits exactly into a part on a power-of-two grid
 coarse enough that any row's sum of those parts is exact, and a remainder
 whose row sums are exact too wherever it lies on a second, finer grid. Only
-rows with a remainder off that grid, or inputs too large or not finite for
-the grid, fall back to ``math.fsum``.
+rows with a remainder off that grid, or inputs too large or not finite for the
+grid, fall back to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,19 +110,14 @@ class Skeleton:
                 raise ValueError(f"duplicate {cls} instance ids")
         for rel_name, rel_links in self.links.items():
             rel = self.schema.item_classes[rel_name]
-            known1 = self._positions[rel.participants[0]]
-            known2 = self._positions[rel.participants[1]]
+            known = [self._positions[p] for p in rel.participants]
             for link_id, e1, e2 in rel_links:
-                if e1 not in known1:
-                    raise ValueError(
-                        f"{rel_name} link {link_id!r} references unknown "
-                        f"{rel.participants[0]} instance {e1!r}"
-                    )
-                if e2 not in known2:
-                    raise ValueError(
-                        f"{rel_name} link {link_id!r} references unknown "
-                        f"{rel.participants[1]} instance {e2!r}"
-                    )
+                for inst, participant, ids in zip((e1, e2), rel.participants, known):
+                    if inst not in ids:
+                        raise ValueError(
+                            f"{rel_name} link {link_id!r} references unknown "
+                            f"{participant} instance {inst!r}"
+                        )
             for side, participant in enumerate(rel.participants):
                 if rel.cards[side] is Cardinality.ONE:
                     seen: set[str] = set()
@@ -152,7 +148,7 @@ class TerminalSets:
     ``walker(path)`` is a sparse boolean array: row ``i`` marks the
     instances of ``path.last`` reached from the ``i``-th instance of
     ``path.perspective``; rows and columns follow ``instances_of`` order,
-    which is sorted, and each row's indices are sorted. Each hop is a
+    which is sorted, but a row's indices may be unsorted. Each hop is a
     boolean product with the hop's incidence matrix, masked by what each
     row has already visited of the class it lands on, so traversals never
     fold back onto where they came from.
@@ -192,8 +188,6 @@ class TerminalSets:
                 frontier = frontier > seen
                 burned = {**burned, cls: seen + frontier}
             walks[items[: j + 1]] = frontier, burned
-        # sorting in place changes no later product of this prefix
-        frontier.sort_indices()
         return frontier
 
 
@@ -329,13 +323,38 @@ class GroundGraph:
     """Directed instantiation of a model on a skeleton.
 
     ``parents`` groups each node's parents by the dependency that produced
-    them; the sampler walks the same terminal sets on ``skeleton`` instead.
+    them; it is built on first read. The sampler walks the same terminal
+    sets on ``skeleton`` instead.
     """
 
     model: RelationalModel
     skeleton: Skeleton
-    nodes: tuple[Node, ...]
-    parents: dict[Node, dict[object, tuple[Node, ...]]]
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(self.skeleton.nodes())
+
+    @cached_property
+    def parents(self) -> dict[Node, dict[object, tuple[Node, ...]]]:
+        skeleton = self.skeleton
+        parents: dict[Node, dict[object, tuple[Node, ...]]] = {}
+        walker = TerminalSets(skeleton)
+        for dep in self.model.dependencies:
+            effect_cls = dep.effect.path.last
+            cause_cls = dep.cause.path.last
+            reach = walker(dep.cause.path)
+            causes = [
+                (cause_cls, r, dep.cause.attribute) for r in skeleton.instances_of(cause_cls)
+            ]
+            indptr = reach.indptr.tolist()
+            indices = reach.indices.tolist()
+            for i, inst in enumerate(skeleton.instances_of(effect_cls)):
+                lo, hi = indptr[i], indptr[i + 1]
+                if lo == hi:
+                    continue
+                child = (effect_cls, inst, dep.effect.attribute)
+                parents.setdefault(child, {})[dep] = tuple(causes[j] for j in indices[lo:hi])
+        return parents
 
     def edges(self) -> list[tuple[Node, Node]]:
         out = set()
@@ -346,29 +365,10 @@ class GroundGraph:
 
 
 def ground_graph(model: RelationalModel, skeleton: Skeleton) -> GroundGraph:
-    """Instantiate every dependency for every effect-class instance."""
+    """Pair a model with a skeleton; ``parents`` instantiates its dependencies."""
     if model.schema != skeleton.schema:
         raise ValueError("model and skeleton schemas differ")
-    nodes = tuple(skeleton.nodes())
-    parents: dict[Node, dict[object, tuple[Node, ...]]] = {}
-    walker = TerminalSets(skeleton)
-    for dep in model.dependencies:
-        effect_cls = dep.effect.path.last
-        cause_cls = dep.cause.path.last
-        reach = walker(dep.cause.path)
-        # columns follow the sorted instance order, so each group is sorted
-        causes = [
-            (cause_cls, r, dep.cause.attribute) for r in skeleton.instances_of(cause_cls)
-        ]
-        indptr = reach.indptr.tolist()
-        indices = reach.indices.tolist()
-        for i, inst in enumerate(skeleton.instances_of(effect_cls)):
-            lo, hi = indptr[i], indptr[i + 1]
-            if lo == hi:
-                continue
-            child = (effect_cls, inst, dep.effect.attribute)
-            parents.setdefault(child, {})[dep] = tuple(causes[j] for j in indices[lo:hi])
-    return GroundGraph(model, skeleton, nodes, parents)
+    return GroundGraph(model, skeleton)
 
 
 def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
@@ -389,12 +389,12 @@ def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
         dep: float(rng.uniform(lo, hi)) * float(rng.choice((-1.0, 1.0)))
         for dep in gg.model.dependencies
     }
-    ordered = sorted(gg.nodes)
+    skeleton = gg.skeleton
+    ordered = sorted(skeleton.nodes())
     drawn = rng.normal(0.0, NOISE_SD, size=len(ordered))
     # sorted nodes list each class's instances in instances_of order, each
     # with its attributes sorted, so an attribute class's values are every
     # m-th entry of its class's block: a view that sampling writes through
-    skeleton = gg.skeleton
     columns: dict[AttributeClass, np.ndarray] = {}
     start = 0
     for cls in sorted(skeleton.schema.item_classes):
@@ -443,7 +443,7 @@ def save_skeleton(skeleton: Skeleton, directory: str | Path) -> Path:
             writer = csv.writer(fh)
             writer.writerow([*header, *attrs])
             for key in keys:
-                row = [repr(values[(item.name, key[0], a)]) for a in attrs]
+                row = [repr(float(values[(item.name, key[0], a)])) for a in attrs]
                 writer.writerow([*key, *row])
     manifest = directory / "manifest.json"
     manifest.write_text(json.dumps({"files": files}, indent=2, sort_keys=True) + "\n")

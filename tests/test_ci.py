@@ -366,7 +366,7 @@ def test_terminal_sets_and_columns_do_not_depend_on_asking_order(movie_schema, s
         targets = skel.instances_of(p.last)
         for i, rs in enumerate(reached):
             row = reach.indices[reach.indptr[i] : reach.indptr[i + 1]]
-            assert [targets[j] for j in row] == sorted(rs)
+            assert sorted(targets[j] for j in row) == sorted(rs)
         for attr in schema.attributes_of(p.last):
             col, ok = backend._column(RelationalVariable(p, attr))
             want = np.array(

@@ -134,7 +134,7 @@ def test_terminal_set_reverse_containment(movie_schema, seed):
 
 
 def assert_terminal_sets_match(skel, hops=6):
-    """Every row of a walker's terminal sets is the sorted reference set."""
+    """Every row of a walker's terminal sets holds the reference set."""
     walker = TerminalSets(skel)
     for cls in skel.schema.item_classes:
         starts = skel.instances_of(cls)
@@ -144,7 +144,7 @@ def assert_terminal_sets_match(skel, hops=6):
             assert reach.shape == (len(starts), len(targets))
             for i, inst in enumerate(starts):
                 row = reach.indices[reach.indptr[i] : reach.indptr[i + 1]]
-                assert [targets[j] for j in row] == sorted(terminal_set(skel, p, inst))
+                assert sorted(targets[j] for j in row) == sorted(terminal_set(skel, p, inst))
 
 
 @given(
@@ -343,6 +343,33 @@ def test_sample_data_matches_node_order_reference(case):
     assert sample_data(gg, seed=case) == node_order_sample(gg, seed=case)
 
 
+@pytest.mark.parametrize("case", ["movie", 0, 1])
+def test_ground_graph_builds_parents_on_first_read(case, movie_truth, tiny_movie_skeleton):
+    if case == "movie":
+        model, skel = movie_truth, tiny_movie_skeleton
+    else:
+        schema, model = generate_case(3, 6, 4, np.random.SeedSequence(entropy=case))
+        skel = random_skeleton(schema, dict.fromkeys(schema.entity_names, 15), 1.0, seed=case)
+    gg = ground_graph(model, skel)
+    sample_data(gg, seed=0)
+    assert "parents" not in vars(gg)  # sampling never grounds the model
+    # one reference group per effect instance with a non-empty terminal set
+    want = {}
+    for d in model.dependencies:
+        effect_cls = d.effect.path.last
+        for inst in skel.instances_of(effect_cls):
+            reached = terminal_set(skel, d.cause.path, inst)
+            if reached:
+                want.setdefault((effect_cls, inst, d.effect.attribute), {})[d] = sorted(
+                    (d.cause.path.last, r, d.cause.attribute) for r in reached
+                )
+    got = {
+        child: {d: sorted(group) for d, group in groups.items()}
+        for child, groups in gg.parents.items()
+    }
+    assert got == want
+
+
 def test_sample_data_deterministic(movie_truth, tiny_movie_skeleton):
     gg = ground_graph(movie_truth, tiny_movie_skeleton)
     assert sample_data(gg, seed=3) == sample_data(gg, seed=3)
@@ -527,6 +554,19 @@ def test_save_load_round_trip_values(movie_truth, movie_schema, tmp_path):
     loaded = load_skeleton(movie_schema, manifest)
     assert loaded.values == values
     assert loaded.instances == skel.instances
+
+
+def test_save_load_round_trip_numpy_values(movie_schema, tmp_path):
+    skel = random_skeleton(movie_schema, {"ACTOR": 5, "MOVIE": 4}, 2.0, seed=2)
+    rng = np.random.default_rng(2)
+    values = {node: np.float64(rng.normal()) for node in skel.nodes()}
+    manifest = save_skeleton(skel.with_values(values), tmp_path / "numpy")
+    assert load_skeleton(movie_schema, manifest).values == values
+    # the same values as Python floats write the same bytes
+    floats = {node: float(v) for node, v in values.items()}
+    save_skeleton(skel.with_values(floats), tmp_path / "floats")
+    for written in (tmp_path / "numpy").iterdir():
+        assert written.read_bytes() == (tmp_path / "floats" / written.name).read_bytes()
 
 
 def test_load_rejects_unknown_reference(movie_schema, tmp_path):

@@ -28,7 +28,11 @@ outputs, CI-test counts included. On data-vote it also fails, before any
 timing, unless both trees sample bit-identical values for each skeleton
 (``sample_data``'s values in node order, compared as the bytes of one
 float array), so a change to how the sampler rounds shows even where the
-votes still agree. It prints each pass's time per tree and their ratio
+votes still agree. It fails too unless each vote's ``RegressionCI.outcomes``
+(its counts, by reason, of queries read independent without a test) agree
+between the trees, so a degenerate query routed to another outcome shows
+even where its verdict does not move; it prints each vote's outcomes at the
+end. It prints each pass's time per tree and their ratio
 (base / new; above 1 means the new tree is faster), then the median ratio. It also prints each tree's ``agg.lift`` cache hits and
 misses within each pass. On oracle-grid it prints each tree's Bayes-ball
 walks within each pass, counted by wrapping ``Agg.reach``. The wrapper
@@ -98,8 +102,10 @@ def oracle_panel(tree, workloads, workdir: Path):
 
 
 def learn_oracle(tree, schema, truth):
+    """The learned pattern, and no outcomes: the oracle tests nothing."""
     rcd = tree["rcd"]
-    return rcd.rcd_learn(schema, tree["ci"].OracleCI(truth, hops=8), rcd.LearnConfig())
+    backend = tree["ci"].OracleCI(truth, hops=8)
+    return rcd.rcd_learn(schema, backend, rcd.LearnConfig()), {}
 
 
 def vote_panel(tree, workloads, workdir: Path):
@@ -144,10 +150,11 @@ def vote_setup(tree, workloads, workdir: Path):
 
 
 def learn_vote(tree, schema, data, seed, runs):
+    """The voted pattern, and the backend's outcomes."""
     rcd = tree["rcd"]
-    return rcd.majority_vote(
-        schema, tree["ci"].RegressionCI(data), rcd.LearnConfig(seed=seed), runs=runs
-    )
+    backend = tree["ci"].RegressionCI(data)
+    pattern = rcd.majority_vote(schema, backend, rcd.LearnConfig(seed=seed), runs=runs)
+    return pattern, dict(backend.outcomes)
 
 
 PANELS = {"oracle-grid": oracle_panel, "data-vote": vote_panel}
@@ -155,8 +162,9 @@ PANELS = {"oracle-grid": oracle_panel, "data-vote": vote_panel}
 
 def timed(tree, job):
     start = time.perf_counter()
-    pattern = job()
-    return time.perf_counter() - start, tree["rcd"].pattern_to_dict(pattern)
+    pattern, outcomes = job()
+    seconds = time.perf_counter() - start
+    return seconds, (tree["rcd"].pattern_to_dict(pattern), outcomes)
 
 
 def cache_counts(tree) -> tuple[int, int]:
@@ -217,6 +225,7 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
     oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
     ratios, setup_ratios = [], []
+    outcomes = []  # each item's outcomes, from the first pass
     for p in range(args.passes):
         setup_seconds = [0.0, 0.0]
         if not oracle:
@@ -234,9 +243,17 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
             for t in order:
                 dt, outputs[t] = timed(trees[t], jobs[t][k])
                 seconds[t] += dt
-            if outputs[0] != outputs[1]:
+            if outputs[0][0] != outputs[1][0]:
                 print(f"item {k}: the trees learn different patterns", file=sys.stderr)
                 return 1
+            if outputs[0][1] != outputs[1][1]:
+                print(
+                    f"item {k}: the trees count different outcomes: base "
+                    f"{outputs[0][1]}, new {outputs[1][1]}", file=sys.stderr,
+                )
+                return 1
+            if p == 0:
+                outcomes.append(outputs[0][1])
         ratios.append(seconds[0] / seconds[1])
         line = (
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
@@ -264,6 +281,7 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
     if not oracle:
         print(f"median set-up ratio (base / new): {statistics.median(setup_ratios):.3f}")
+        print(f"identical RegressionCI outcomes per vote: {outcomes}")
         for label, tree_jobs in zip(("base", "new"), jobs):
             peaks = traced_peaks(tree_jobs)
             print(

@@ -18,13 +18,13 @@ The exact oracle asks the fully directed lifted graphs of a known model
 model carries (``RelationalModel.pairs``), share the learner's cached
 lifting and direct bits of their own. It memoizes Bayes-ball walks, not
 verdicts: a walk from y given Z answers (x, y | Z) for every x it reached,
-and for every x at all once it ran out. The regression test averages each
-variable over its terminal sets in skeleton data, through one
-``skeleton.TerminalSets`` walker per backend, so relational paths that share
-a prefix share its sparse hops. ``find_sepset`` is the separating-set search
-of both learner phases, over a pool given as an id mask; it counts its tests
-per label in a ``Counter`` and records nothing (the learner keeps one dict
-of separating sets).
+and for every x at all once it ran out. The regression test takes the partial
+correlation of x and y given Z on skeleton data, each variable averaged over
+its terminal sets through one ``skeleton.TerminalSets`` walker per backend,
+so relational paths that share a prefix share its sparse hops.
+``find_sepset`` is the separating-set search of both learner phases, over a
+pool given as an id mask; it counts its tests per label in a ``Counter`` and
+records nothing (the learner keeps one dict of separating sets).
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def check_regression_parameters(alpha: float, effect_threshold: float) -> None:
 
 
 class RegressionCI:
-    """Linear-regression test on skeleton data with average aggregation.
+    """Partial-correlation test on skeleton data with average aggregation.
 
     One row per perspective instance; each variable column is the mean of
     its terminal-set values (``skeleton.terminal_means``, which the sampler
@@ -161,10 +161,11 @@ class RegressionCI:
     ``TerminalSets`` walker that lives as long as the backend, so each
     distinct path prefix costs one sparse hop, and a path's terminal sets
     serve every attribute on it.
-    Dependence requires the regressor of interest to be both significant at
-    ``alpha`` and above the standardized effect threshold. A query with
-    too few usable rows, or with a constant column, is reported independent
-    and counted in ``outcomes`` (``too_few_rows``, ``zero_variance``).
+    x and y are dependent given Z when their partial correlation, that of
+    their residuals on the centred Z, passes a t-test at ``alpha`` with a
+    standardized effect of at least ``effect_threshold``. A query with too
+    few usable rows, a constant column (all its usable values equal), or an
+    x or y that Z determines is read independent and counted in ``outcomes``.
     """
 
     def __init__(
@@ -215,37 +216,35 @@ class RegressionCI:
         if verdict is None:
             if x == y or (z >> x | z >> y) & 1:
                 check_query(table.perspective, key[0], key[1], frozenset(key[2]))
-            verdict = self._memo[key] = self._test(*key)
+            pval, effect = self._test(*key)
+            verdict = pval >= self.alpha or abs(effect) < self.effect_threshold
+            self._memo[key] = verdict
         return verdict
 
-    def _test(self, x, y, cond) -> bool:
+    def _test(self, x, y, cond) -> tuple[float, float]:
         cols, masks = zip(*(self._column(v) for v in (x, y, *cond)))
-        mask = np.logical_and.reduce(masks)
-        n = int(mask.sum())
-        if n < len(cond) + 3:
+        data = np.compress(np.logical_and.reduce(masks), cols, axis=1)
+        k, n = data.shape
+        if n <= k:
             self.outcomes["too_few_rows"] += 1
-            return True
-        data = [c[mask] for c in cols]
-        stds = [float(np.std(c)) for c in data]
-        if 0.0 in stds:
+            return 1.0, 0.0
+        if (data.min(axis=1) == data.max(axis=1)).any():
             self.outcomes["zero_variance"] += 1
-            return True
-        xcol, ycol = data[0], data[1]
-        design = np.column_stack([np.ones(n), xcol, *data[2:]])
-        beta, _, _, _ = np.linalg.lstsq(design, ycol, rcond=None)
-        resid = ycol - design @ beta
-        dof = n - design.shape[1]
-        sigma2 = float(resid @ resid) / dof
-        cov = sigma2 * np.linalg.pinv(design.T @ design)
-        se = float(np.sqrt(max(cov[1, 1], 0.0)))
-        if se == 0.0:
-            pval = 0.0
-        else:
-            # the Student-t survival function, without importing scipy.stats
-            pval = 2.0 * float(special.stdtr(dof, -abs(beta[1]) / se))
-        std_coef = float(beta[1]) * stds[0] / stds[1]
-        dependent = pval < self.alpha and abs(std_coef) >= self.effect_threshold
-        return not dependent
+            return 1.0, 0.0
+        data -= data.mean(axis=1, keepdims=True)
+        xy, z = data[:2], data[2:]
+        resid = xy - np.linalg.lstsq(z.T, xy.T, rcond=None)[0].T @ z
+        (sxx, sxy), (_, syy) = resid @ resid.T
+        vx, vy = np.einsum("ij,ij->i", xy, xy)
+        tol = n * np.finfo(float).eps  # Z leaves x or y only rounding error
+        if sxx <= tol * vx or syy <= tol * vy:
+            self.outcomes["collinear"] += 1
+            return 1.0, 0.0
+        r2 = sxy * sxy / (sxx * syy)
+        t2 = (n - k) * r2 / (1.0 - r2) if r2 < 1.0 else math.inf
+        # the Student-t survival function, without importing scipy.stats
+        pval = 2.0 * float(special.stdtr(n - k, -math.sqrt(t2)))
+        return pval, float(sxy / sxx * math.sqrt(vx / vy))
 
 
 def ask(

@@ -8,6 +8,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import networkx as nx
+import numpy as np
+from scipy import special
 
 from relcd.model import RelationalModel
 from relcd.paths import RelationalPath, compositions, is_valid
@@ -195,3 +197,22 @@ def propositional_pattern(learned: LearnedPattern) -> dict:
         for pair in learned.undirected
     )
     return {"directed": directed, "undirected": undirected}
+
+
+def regression_slope_test(data: np.ndarray) -> tuple[float, float]:
+    """The slope test that ``RegressionCI`` took before its partial
+    correlation: y's least-squares fit on the design matrix [1, x, *Z]
+    (``data``'s columns are [x, y, *Z], none of them constant), the two-sided
+    t-test of x's coefficient with its standard error from ``pinv(XᵀX)``, and
+    that coefficient times sd(x) / sd(y). A zero standard error reads p = 0.
+    Returns (p-value, standardized effect)."""
+    n = len(data)
+    x, y = data[:, 0], data[:, 1]
+    design = np.column_stack([np.ones(n), x, data[:, 2:]])
+    beta = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ beta
+    dof = n - design.shape[1]
+    cov = float(resid @ resid) / dof * np.linalg.pinv(design.T @ design)
+    se = float(np.sqrt(max(cov[1, 1], 0.0)))
+    pval = 0.0 if se == 0.0 else 2.0 * float(special.stdtr(dof, -abs(beta[1]) / se))
+    return pval, float(beta[1]) * float(np.std(x)) / float(np.std(y))

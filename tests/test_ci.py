@@ -32,7 +32,7 @@ from relcd.rcd import LearnConfig, bivariate_orientation, collider_detection, ph
 from relcd.schema import AttributeClass, random_schema, schema_to_json
 from relcd.skeleton import ground_graph, random_skeleton, sample_data, save_skeleton
 from tests.conftest import CountingCI, propositional_model, single_entity_schema, var
-from tests.reference import digraph, lifted_digraph, terminal_set
+from tests.reference import digraph, lifted_digraph, regression_slope_test, terminal_set
 
 
 POP = var(["ACTOR"], "Popularity")
@@ -41,6 +41,9 @@ SUCCESS_VIA_ACTOR = var(["ACTOR", "STARS-IN", "MOVIE"], "Success")
 POP_VIA_MOVIE = var(["MOVIE", "STARS-IN", "ACTOR"], "Popularity")
 SUCCESS = var(["MOVIE"], "Success")
 OTHER_SUCCESS = var(["MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE"], "Success")
+OTHER_ACTOR_SUCCESS = var(
+    ["ACTOR", "STARS-IN", "MOVIE", "STARS-IN", "ACTOR", "STARS-IN", "MOVIE"], "Success"
+)
 
 
 INVALID_QUERIES = [
@@ -293,14 +296,91 @@ def test_regression_null_size(movie_schema):
     assert accepted >= 16  # roughly 1 - alpha of seeds
 
 
-def test_regression_zero_variance_column(movie_schema, movie_truth):
-    skel = random_skeleton(movie_schema, {"ACTOR": 50, "MOVIE": 50}, 2.0, seed=3)
-    values = {node: 0.0 for node in skel.nodes()}
-    backend = RegressionCI(skel.with_values(values))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ask(backend, POP_VIA_MOVIE, SUCCESS)
-    assert backend.outcomes == {"zero_variance": 1}
+ZERO_VARIANCE = [
+    # (id, entity sizes, link density, seeds, constant values, query)
+    (
+        "all-zero", {"ACTOR": 50, "MOVIE": 50}, 2.0, (3,),
+        {"ACTOR": 0.0, "MOVIE": 0.0}, (POP_VIA_MOVIE, SUCCESS),
+    ),
+    # constants whose np.mean over n copies is off by an ulp, so np.std is not 0
+    *(
+        (f"{role}-{c}-n{n}", {"ACTOR": n, "MOVIE": n}, 2.0, (3,), {"ACTOR": c}, query)
+        for c in (0.1, 0.7345, -1.3)
+        for n in (50, 200, 1000)
+        for role, query in (
+            ("x", (POP, SUCCESS_VIA_ACTOR)),
+            ("y", (SUCCESS_VIA_ACTOR, POP)),
+            ("z", (SUCCESS_VIA_ACTOR, COSTAR_POP, frozenset((POP,)))),
+        )
+    ),
+    # one movie: every starring actor reads its success
+    *(
+        (f"one-movie-{order}", {"ACTOR": 300, "MOVIE": 1}, 1.0, range(40), {}, query)
+        for order, query in (
+            ("x", (SUCCESS_VIA_ACTOR, POP)),
+            ("y", (POP, SUCCESS_VIA_ACTOR)),
+        )
+    ),
+]
+
+
+def test_regression_zero_variance_column(movie_schema):
+    from relcd.model import RelationalModel
+
+    null = RelationalModel(movie_schema, ())
+    for case, sizes, density, seeds, constants, query in ZERO_VARIANCE:
+        for seed in seeds:
+            skel = random_skeleton(movie_schema, sizes, density, seed=seed)
+            values = sample_data(ground_graph(null, skel), seed=seed)
+            for node in values:
+                values[node] = constants.get(node[0], values[node])
+            backend = RegressionCI(skel.with_values(values))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert ask(backend, *query), (case, seed)
+            assert backend.outcomes == {"zero_variance": 1}, (case, seed)
+
+
+def degenerate_columns(n):
+    """Constructed columns [x, y, *Z] whose design matrix [1, x, *Z] or
+    residuals are singular, each with the outcome it must count."""
+    rng = np.random.default_rng(n)
+    x, z, e = rng.normal(size=(3, n))
+    y = x + 0.5 * e
+    return [
+        ("x-in-Z", [x, y, x], "collinear"),
+        ("x-affine-in-Z", [x, y, z, 3.0 * x - 2.0], "collinear"),
+        ("y-in-Z", [x, y, y], "collinear"),
+        ("duplicated-Z", [x, y, z, z], None),
+        ("affine-Z", [x, y, z, 2.0 * z + 1.0], None),
+        ("y=2x+1", [x, 2.0 * x + 1.0], None),
+        ("y=x+z-given-z", [x, x + z, z], None),
+    ]
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_regression_degenerate_designs(movie_data, n):
+    # a Z that determines x or y reads independent (p-value 1, effect 0);
+    # every other case agrees with the slope test, and none raises or warns
+    variables = (POP, COSTAR_POP, SUCCESS_VIA_ACTOR, OTHER_ACTOR_SUCCESS)
+    for case, columns, outcome in degenerate_columns(n):
+        backend = RegressionCI(movie_data)
+        for v, col in zip(variables, columns):
+            backend._columns[v] = col, np.ones(n, dtype=bool)
+        x, y, *cond = variables[: len(columns)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = ask(backend, x, y, frozenset(cond))
+            assert backend.outcomes == ({outcome: 1} if outcome else {}), case
+            pval, effect = backend._test(x, y, cond)
+        if outcome:
+            assert verdict and (pval, effect) == (1.0, 0.0), case
+            continue
+        want_p, want_effect = regression_slope_test(np.column_stack(columns))
+        assert math.isclose(pval, want_p, rel_tol=1e-9), case
+        assert math.isclose(effect, want_effect, rel_tol=1e-9), case
+        want = want_p >= backend.alpha or abs(want_effect) < backend.effect_threshold
+        assert verdict == want, case
 
 
 def test_regression_insufficient_rows(movie_schema, movie_truth):

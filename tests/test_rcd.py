@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from itertools import count
 
 import numpy as np
@@ -38,6 +39,7 @@ from tests.conftest import (
     single_entity_schema,
     var,
 )
+from tests.reference import regression_slope_test
 
 
 def learn(truth, **config_kwargs):
@@ -561,18 +563,24 @@ def test_oracle_at_other_hops_is_pinned(case, hops, expected):
     assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
-def test_regression_vote_is_pinned():
-    # data-vote's model: the first draw of generate_case(3, 5, 4) at entropy
-    # 0 whose relationships are all MANY/MANY; 200 instances an entity at
-    # link density 2, seed 1 for skeleton, values and vote. Its runs refuse
-    # orientations, so the pin covers the shuffled pools and triples too.
+def pinned_vote_backend():
+    """data-vote's model: the first draw of generate_case(3, 5, 4) at entropy
+    0 whose relationships are all MANY/MANY; 200 instances an entity at link
+    density 2, seed 1 for skeleton and values. Its schema and a fresh
+    backend on its data."""
     for k in count():
         seq = np.random.SeedSequence(entropy=0, spawn_key=(k,))
         schema, truth = generate_case(3, 5, 4, seq)
         if all(Cardinality.ONE not in rel.cards for rel in schema.relationships):
             break
     skel = random_skeleton(schema, dict.fromkeys(schema.entity_names, 200), 2.0, seed=1)
-    backend = RegressionCI(skel.with_values(sample_data(ground_graph(truth, skel), seed=1)))
+    return schema, RegressionCI(skel.with_values(sample_data(ground_graph(truth, skel), seed=1)))
+
+
+def test_regression_vote_is_pinned():
+    # vote seed 1. Its runs refuse orientations, so the pin covers the
+    # shuffled pools and triples too.
+    schema, backend = pinned_vote_backend()
     pattern = majority_vote(schema, backend, LearnConfig(seed=1), runs=5)
     doc = pattern_to_dict(pattern)
     assert doc["stats"]["ci_tests"] == {"phase1": 628, "phase2_cd": 67}
@@ -580,3 +588,32 @@ def test_regression_vote_is_pinned():
     assert len(doc["conflicts"]) == 18 and len(doc["dependencies"]) == 7
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == "6c00e729814d4271"
+
+
+def test_regression_matches_slope_test_on_pinned_vote():
+    # the partial correlation against the lstsq + pinv slope test it replaced,
+    # on every distinct query of the pinned vote
+    schema, backend = pinned_vote_backend()
+    majority_vote(schema, backend, LearnConfig(seed=1), runs=5)
+    alpha, threshold = backend.alpha, backend.effect_threshold
+    near_alpha = near_threshold = math.inf  # the reference values nearest each
+    for (x, y, cond), verdict in backend._memo.items():
+        cols, masks = zip(*(backend._column(v) for v in (x, y, *cond)))
+        want_p, want_effect = regression_slope_test(
+            np.column_stack(cols)[np.logical_and.reduce(masks)]
+        )
+        pval, effect = backend._test(x, y, cond)
+        assert math.isclose(pval, want_p, rel_tol=1e-9), (x, y, cond)
+        assert math.isclose(effect, want_effect, rel_tol=1e-9), (x, y, cond)
+        assert verdict == (want_p >= alpha or abs(want_effect) < threshold)
+        near_alpha = min(near_alpha, want_p, key=lambda p: abs(p - alpha))
+        near_threshold = min(
+            near_threshold, abs(want_effect), key=lambda e: abs(e - threshold)
+        )
+    assert backend.outcomes == {}
+    assert len(backend._memo) == 252
+    print(
+        f"{len(backend._memo)} queries agree; nearest alpha ({alpha}): p = "
+        f"{near_alpha:.6g}; nearest effect_threshold ({threshold}): |effect| = "
+        f"{near_threshold:.6g}"
+    )

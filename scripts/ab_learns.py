@@ -10,8 +10,9 @@ in ``perfbench/workloads.py`` (imported with BASE_SRC's ``relcd``), whose
 inputs each tree draws at entropy 0 with its own modules:
 
 - ``oracle-grid`` (the default): ``OracleGrid``'s cells and cases a cell,
-  drawn by each tree's ``harness`` and learned, as ``OracleGrid.op`` learns
-  them, with ``OracleCI(hops=8)`` and the default ``LearnConfig``.
+  drawn by each tree's ``harness``, as ``OracleGrid.setup`` draws them, and
+  learned, as ``OracleGrid.op`` learns them, with ``OracleCI(hops=8)`` and
+  the default ``LearnConfig``.
 - ``data-vote``: ``DataVote``'s model, skeletons and vote seeds. Each tree
   generates, grounds, samples, writes and reads back the skeletons with
   its own ``skeleton`` module, as ``DataVote.setup`` does, and votes, as
@@ -24,27 +25,33 @@ differ by a quarter on a loaded machine, where interleaved passes agree far
 closer.
 
 The script fails unless both trees give identical ``pattern_to_dict``
-outputs, CI-test counts included. On data-vote it also fails, before any
-timing, unless both trees sample bit-identical values for each skeleton
-(``sample_data``'s values in node order, compared as the bytes of one
-float array), so a change to how the sampler rounds shows even where the
-votes still agree. It fails too unless each vote's ``RegressionCI.outcomes``
-(its counts, by reason, of queries read independent without a test) agree
+outputs, CI-test counts included. It also fails, before any timing, unless
+both trees draw identical inputs: on oracle-grid the ``model_to_json`` of
+every case (schema and model), so a change to the order of
+``random_model``'s pool shows even where the learns still agree; on
+data-vote bit-identical values for each skeleton (``sample_data``'s values
+in node order, compared as the bytes of one float array), so a change to
+how the sampler rounds shows even where the votes still agree. On
+data-vote it fails too unless each vote's ``RegressionCI.outcomes`` (its
+counts, by reason, of queries read independent without a test) agree
 between the trees, so a degenerate query routed to another outcome shows
 even where its verdict does not move; it prints each vote's outcomes at the
-end. It prints each pass's time per tree and their ratio
-(base / new; above 1 means the new tree is faster), then the median ratio. It also prints each tree's ``agg.lift`` cache hits and
-misses within each pass. On oracle-grid it prints each tree's Bayes-ball
-walks within each pass, counted by wrapping ``Agg.reach``. The wrapper
-costs each walk the same small time in both trees, so it slightly favours
-the tree that walks less. On data-vote each pass also times each tree's
-set-up once more (the draw, ground, sample, write and read-back of the
-skeletons, as ``DataVote.setup`` does), the trees in turn first from pass
-to pass; it prints those times and their ratio with the pass, and their
-median ratio at the end. It ends with one untimed pass per tree under
-``tracemalloc`` and prints the peak MB each tree's votes trace, so a trade
-of memory for speed shows before the benchmark's ``peak_rss_mb`` bound
-refuses it.
+end.
+
+It prints each pass's time per tree and their ratio (base / new; above 1
+means the new tree is faster), then the median ratio. It also prints each
+tree's ``agg.lift`` cache hits and misses within each pass. On oracle-grid
+it prints each tree's Bayes-ball walks within each pass, counted by
+wrapping ``Agg.reach``. The wrapper costs each walk the same small time in
+both trees, so it slightly favours the tree that walks less. Each pass also
+times each tree's set-up once more, the trees in turn first from pass to
+pass: on oracle-grid the draw of the panel's 200 cases, as
+``OracleGrid.setup`` does; on data-vote the draw, ground, sample, write and
+read-back of the skeletons, as ``DataVote.setup`` does. It prints those
+times and their ratio with the pass, and their median ratio at the end. On
+data-vote it ends with one untimed pass per tree under ``tracemalloc`` and
+prints the peak MB each tree's votes trace, so a trade of memory for speed
+shows before the benchmark's ``peak_rss_mb`` bound refuses it.
 """
 
 from __future__ import annotations
@@ -84,21 +91,32 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {sub: importlib.import_module(f"{name}.{sub}") for sub in
-            ("agg", "ci", "harness", "rcd", "schema", "skeleton")}
+            ("agg", "ci", "harness", "model", "rcd", "schema", "skeleton")}
 
 
 def oracle_panel(tree, workloads, workdir: Path):
-    """``OracleGrid.setup``'s cases, in panel order, as learns to time, no
-    sampled values and no set-up to time."""
+    """``OracleGrid.setup``'s cases, in panel order, as learns to time, each
+    case's ``model_to_json``, and the draw, to time again."""
+    setup = partial(oracle_setup, tree, workloads)
+    cases = setup()
+    model_to_json = tree["model"].model_to_json
+    return [model_to_json(truth) for _, truth in cases], [
+        partial(learn_oracle, tree, schema, truth) for schema, truth in cases
+    ], setup
+
+
+def oracle_setup(tree, workloads):
+    """``OracleGrid.setup``'s draw with this tree's ``harness``: the panel's
+    (schema, model) cases, in panel order."""
     grid = workloads.OracleGrid
     hops = tree["rcd"].LearnConfig().hop_threshold
-    return [], [
-        partial(learn_oracle, tree, *tree["harness"].generate_case(
+    return [
+        tree["harness"].generate_case(
             e, d, hops, np.random.SeedSequence(entropy=0, spawn_key=(e, d, t))
-        ))
+        )
         for t in range(grid.unit_ops // len(grid.cells))
         for e, d in grid.cells
-    ], None
+    ]
 
 
 def learn_oracle(tree, schema, truth):
@@ -214,26 +232,26 @@ def main(argv=None) -> int:
 
 
 def run_passes(args, trees, workloads, workdir: Path) -> int:
-    sampled, jobs, setups = zip(*(
+    inputs, jobs, setups = zip(*(
         PANELS[args.workload](tree, workloads, workdir / label)
         for tree, label in zip(trees, ("base", "new"))
     ))
-    for j, (base, new) in enumerate(zip(*sampled)):
-        if base != new:
-            print(f"skeleton {j}: the trees sample different values", file=sys.stderr)
-            return 1
     oracle = args.workload == "oracle-grid"
+    drawn = "case" if oracle else "skeleton"
+    for j, (base, new) in enumerate(zip(*inputs)):
+        if base != new:
+            print(f"{drawn} {j}: the trees draw different inputs", file=sys.stderr)
+            return 1
     walks = [count_walks(tree) for tree in trees]
     ratios, setup_ratios = [], []
     outcomes = []  # each item's outcomes, from the first pass
     for p in range(args.passes):
         setup_seconds = [0.0, 0.0]
-        if not oracle:
-            for t in (0, 1) if p % 2 == 0 else (1, 0):
-                began = time.perf_counter()
-                setups[t]()
-                setup_seconds[t] = time.perf_counter() - began
-            setup_ratios.append(setup_seconds[0] / setup_seconds[1])
+        for t in (0, 1) if p % 2 == 0 else (1, 0):
+            began = time.perf_counter()
+            setups[t]()
+            setup_seconds[t] = time.perf_counter() - began
+        setup_ratios.append(setup_seconds[0] / setup_seconds[1])
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
         walks_before = [w[0] for w in walks]
@@ -257,13 +275,9 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
         ratios.append(seconds[0] / seconds[1])
         line = (
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
-            f"ratio {ratios[-1]:.3f}"
+            f"ratio {ratios[-1]:.3f}; set-up base {setup_seconds[0]:.3f} s, "
+            f"new {setup_seconds[1]:.3f} s, ratio {setup_ratios[-1]:.3f}"
         )
-        if not oracle:
-            line += (
-                f"; set-up base {setup_seconds[0]:.3f} s, new {setup_seconds[1]:.3f} s, "
-                f"ratio {setup_ratios[-1]:.3f}"
-            )
         for label, tree, start, walked, start_walks in zip(
             ("base", "new"), trees, before, walks, walks_before
         ):
@@ -276,11 +290,10 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
         f"identical pattern_to_dict outputs on {len(jobs[0])} {args.workload}"
         f" items x {args.passes} passes"
     )
-    if sampled[0]:
-        print(f"identical sampled values on {len(sampled[0])} skeletons")
+    print(f"identical inputs on {len(inputs[0])} {drawn}s")
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
+    print(f"median set-up ratio (base / new): {statistics.median(setup_ratios):.3f}")
     if not oracle:
-        print(f"median set-up ratio (base / new): {statistics.median(setup_ratios):.3f}")
         print(f"identical RegressionCI outcomes per vote: {outcomes}")
         for label, tree_jobs in zip(("base", "new"), jobs):
             peaks = traced_peaks(tree_jobs)

@@ -157,7 +157,9 @@ class RegressionCI:
     One row per perspective instance; each variable column is the mean of
     its terminal-set values (``skeleton.terminal_means``, which the sampler
     aggregates with too), and rows touching an empty terminal set are
-    dropped. Every node needs a finite value. Terminal sets come from one
+    dropped. An attribute whose values are all equal gives that value
+    exactly on every row with members, so its columns are found constant.
+    Every node needs a finite value. Terminal sets come from one
     ``TerminalSets`` walker that lives as long as the backend, so each
     distinct path prefix costs one sparse hop, and a path's terminal sets
     serve every attribute on it.
@@ -205,7 +207,13 @@ class RegressionCI:
                     for inst in self.skeleton.instances_of(cls)
                 ]
             )
-        col, ok = self._columns[var] = terminal_means(self._reach(var.path), values)
+        col, ok = terminal_means(self._reach(var.path), values)
+        if values.size and values.min() == values.max():
+            # fsum/len of k copies of c need not be c, so a constant attribute
+            # would average to a column of rounding noise; + 0.0 reads -0.0
+            # as 0.0, as fsum does
+            col = np.where(ok, values[0] + 0.0, 0.0)
+        self._columns[var] = col, ok
         return col, ok
 
     def independent(self, table: NodeTable, x: int, y: int, z: int = 0) -> bool:

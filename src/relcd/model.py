@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,26 +122,33 @@ def potential_dependencies(
     """All canonical dependencies with cause paths within the hop threshold.
 
     Same-attribute-class pairs are excluded (they would make any model
-    cyclic), so the result is closed under reverse_dependency.
+    cyclic), so the result is closed under reverse_dependency. The list is
+    in text order. Each dependency's text is built once, from its path's
+    text, and is the sort key; each cause variable is made once per (path,
+    attribute) and each effect variable once per (item class, attribute),
+    so dependencies share them. Nothing is cached: ``rcd.learn_plan`` keeps
+    a learner's copy.
     """
-    out: list[RelationalDependency] = []
+    keyed: list[tuple[str, RelationalDependency]] = []
     for item in sorted(schema.item_classes):
+        effect_path = RelationalPath((item,))
+        effects = [
+            (attr, RelationalVariable(effect_path, attr))
+            for attr in schema.attributes_of(item)
+        ]
         for p in enumerate_paths(schema, item, hop_threshold):
+            path_text = str(p)
             for cause_attr in schema.attributes_of(p.last):
-                for effect_attr in schema.attributes_of(item):
-                    if AttributeClass(p.last, cause_attr) == AttributeClass(
-                        item, effect_attr
-                    ):
+                cause = RelationalVariable(p, cause_attr)
+                head = f"{path_text}.{cause_attr} -> [{item}]."
+                for effect_attr, effect in effects:
+                    if p.last == item and cause_attr == effect_attr:
                         continue
-                    out.append(
-                        RelationalDependency(
-                            RelationalVariable(p, cause_attr),
-                            RelationalVariable(
-                                RelationalPath((item,)), effect_attr
-                            ),
-                        )
+                    keyed.append(
+                        (head + effect_attr, RelationalDependency(cause, effect))
                     )
-    return sorted(out, key=str)
+    keyed.sort(key=itemgetter(0))
+    return [dep for _, dep in keyed]
 
 
 def _closes_cycle(

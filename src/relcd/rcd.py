@@ -1,21 +1,24 @@
 """Two-phase constraint-based learner for relational causal models.
 
 Phase I prunes the potential dependencies with conditional-independence
-tests of growing conditioning size. Phase II lifts the survivors into
-per-perspective graphs and orients them. Collider detection and bivariate
-orientation across MANY-cardinality paths are one test on lifted unshielded
-triples, run as two passes that split the triples by whether the endpoints
-share an attribute class. The non-collider / cycle-avoidance / double-parent
-propagation rules then run to a fixpoint. Each orientation is registered
-once and directs its edges in every perspective's graph. A run returns the
-pattern, its CI-test counts per label, the rule that oriented each pair and
-the conflicts it refused.
+tests of growing conditioning size, walking a read-only learn plan built
+once per (schema, hop threshold) and shared by a vote's runs. Phase II lifts
+the survivors into per-perspective graphs and orients them. Collider
+detection and bivariate orientation across MANY-cardinality paths are one
+test on lifted unshielded triples, run as two passes that split the triples
+by whether the endpoints share an attribute class. The non-collider /
+cycle-avoidance / double-parent propagation rules then run to a fixpoint.
+Each orientation is registered once and directs its edges in every
+perspective's graph. A run returns the pattern, its CI-test counts per
+label, the rule that oriented each pair and the conflicts it refused.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -80,6 +83,55 @@ class LearnedPattern:
         return frozenset(self.orientation)
 
 
+@dataclass(frozen=True)
+class LearnPlan:
+    """What phase I derives from a schema and hop threshold alone.
+
+    ``dependencies`` are the potential dependencies, in text order. Row i of
+    ``rows`` names dependency i by ids in its perspective's ``node_table`` at
+    twice the hop threshold: (perspective, cause id, effect id, reverse's
+    row). ``causes`` maps each (perspective, effect id) to the id mask of
+    the causes the rows give it. ``learn_plan`` shares plans, so all of it
+    is read-only; a plan holds no table, so ``node_table`` stays the one
+    owner of the tables that queries name.
+    """
+
+    dependencies: tuple[RelationalDependency, ...]
+    rows: tuple[tuple[str, int, int, int], ...]
+    causes: MappingProxyType[tuple[str, int], int]
+
+
+@lru_cache(maxsize=1)
+def learn_plan(schema: Schema, hop_threshold: int) -> LearnPlan:
+    """The ``LearnPlan`` of a schema and hop threshold, built once.
+
+    A reverse row is found by the key (cause path items, cause attribute,
+    effect attribute): a tuple of strings, whose hashes strings cache, not a
+    nested dataclass, which hashes every level on every lookup. Only the
+    last plan is kept: callers that learn one schema again do so back to
+    back (a vote's runs), and a plan holds every potential dependency, so
+    more plans would hold memory that no caller reads again.
+    """
+    pds = tuple(potential_dependencies(schema, hop_threshold))
+    hops = 2 * hop_threshold
+    index = {p: node_table(schema, p, hops).index for p in schema.item_classes}
+    position = {
+        (d.cause.path.items, d.cause.attribute, d.effect.attribute): i
+        for i, d in enumerate(pds)
+    }
+    rows = []
+    causes: dict[tuple[str, int], int] = {}
+    for dep in pds:
+        cause, effect = dep.cause, dep.effect
+        items = cause.path.items
+        p = items[0]
+        x, y = index[p][cause], index[p][effect]
+        rev = position[(items[::-1], effect.attribute, cause.attribute)]
+        rows.append((p, x, y, rev))
+        causes[(p, y)] = causes.get((p, y), 0) | 1 << x
+    return LearnPlan(pds, tuple(rows), MappingProxyType(causes))
+
+
 def phase1(
     schema: Schema,
     ci_backend,
@@ -93,43 +145,40 @@ def phase1(
     A dependency and its reverse are removed together as soon as any
     conditioning set drawn from the current cause candidates of the effect
     separates the pair; the witnessing set (an id mask) is recorded, keyed
-    (perspective, low id, high id). Queries name variables by id in the node
-    tables that phase II lifts on, at twice the hop threshold. Each potential
-    dependency is one row of ids, in text order, that also names its reverse's
-    row; the survivors come back in that order.
+    (perspective, low id, high id). The run walks the shared ``learn_plan``
+    of the schema and hop threshold: one row of ids per potential
+    dependency, in text order, naming its reverse's row, and the starting
+    cause masks, which the run copies before it prunes them. Queries name
+    variables by id in the tables ``node_table`` holds at twice the hop
+    threshold, looked up anew on every run: phase II lifts on them, and an
+    oracle at those hops walks graphs that share their nodes, so it
+    translates no id. The survivors come back in text order.
     """
     sepsets: dict[tuple[str, int, int], int | None] = {}
-    pds = potential_dependencies(schema, config.hop_threshold)
+    plan = learn_plan(schema, config.hop_threshold)
     hops = 2 * config.hop_threshold
     tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
-    position = {dep: i for i, dep in enumerate(pds)}
-    rows = []  # (table, cause id, effect id, reverse's row) per dependency
-    neighbors: dict[tuple[str, int], int] = {}  # (perspective, effect id) -> cause ids
-    for dep in pds:
-        table = tables[dep.effect.perspective]
-        x, y = table.index[dep.cause], table.index[dep.effect]
-        rows.append((table, x, y, position[reverse_dependency(dep)]))
-        key = (table.perspective, y)
-        neighbors[key] = neighbors.get(key, 0) | 1 << x
-    live = [True] * len(pds)
-    order = list(range(len(pds)))
+    rows = plan.rows
+    causes = dict(plan.causes)
+    live = [True] * len(rows)
+    order = list(range(len(rows)))
     if rng is not None:
         rng.shuffle(order)
     for size in range(config.depth + 1):
         for i in order:
             if not live[i]:
                 continue
-            table, x, y, rev = rows[i]
+            perspective, x, y, rev = rows[i]
             sep = find_sepset(
-                ci_backend, table, x, y, neighbors[(table.perspective, y)],
+                ci_backend, tables[perspective], x, y, causes[(perspective, y)],
                 range(size, size + 1), stats=stats, label="phase1", rng=rng,
             )
             if sep is not None:
-                sepsets[(table.perspective, min(x, y), max(x, y))] = sep
+                sepsets[(perspective, min(x, y), max(x, y))] = sep
                 live[i] = live[rev] = False
-                for t, cause, effect, _ in (rows[i], rows[rev]):
-                    neighbors[(t.perspective, effect)] &= ~(1 << cause)
-    return [dep for dep, alive in zip(pds, live) if alive], sepsets
+                for p, cause, effect, _ in (rows[i], rows[rev]):
+                    causes[(p, effect)] &= ~(1 << cause)
+    return [dep for dep, alive in zip(plan.dependencies, live) if alive], sepsets
 
 
 def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:

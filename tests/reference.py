@@ -11,10 +11,14 @@ import networkx as nx
 import numpy as np
 from scipy import special
 
-from relcd.model import RelationalModel
-from relcd.paths import RelationalPath, compositions, is_valid
+from relcd.model import (
+    RelationalDependency,
+    RelationalModel,
+    RelationalVariable,
+)
+from relcd.paths import RelationalPath, compositions, enumerate_paths, is_valid
 from relcd.rcd import LearnedPattern
-from relcd.schema import Schema
+from relcd.schema import AttributeClass, Schema
 from relcd.skeleton import GroundGraph, Node, Skeleton
 
 
@@ -216,3 +220,28 @@ def regression_slope_test(data: np.ndarray) -> tuple[float, float]:
     se = float(np.sqrt(max(cov[1, 1], 0.0)))
     pval = 0.0 if se == 0.0 else 2.0 * float(special.stdtr(dof, -abs(beta[1]) / se))
     return pval, float(beta[1]) * float(np.std(x)) / float(np.std(y))
+
+
+def potential_dependencies(
+    schema: Schema, hop_threshold: int
+) -> list[RelationalDependency]:
+    """Every canonical dependency within the hop threshold, one per (path,
+    cause attribute, effect attribute), made afresh and sorted by ``str``:
+    the order ``relcd.model.potential_dependencies`` must give by its own
+    text keys."""
+    out = []
+    for item in sorted(schema.item_classes):
+        for p in enumerate_paths(schema, item, hop_threshold):
+            for cause_attr in schema.attributes_of(p.last):
+                for effect_attr in schema.attributes_of(item):
+                    if AttributeClass(p.last, cause_attr) == AttributeClass(
+                        item, effect_attr
+                    ):
+                        continue
+                    out.append(
+                        RelationalDependency(
+                            RelationalVariable(p, cause_attr),
+                            RelationalVariable(RelationalPath((item,)), effect_attr),
+                        )
+                    )
+    return sorted(out, key=str)

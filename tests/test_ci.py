@@ -341,6 +341,31 @@ def test_regression_zero_variance_column(movie_schema):
             assert backend.outcomes == {"zero_variance": 1}, (case, seed)
 
 
+def test_regression_constant_attribute_over_terminal_sets(movie_schema):
+    # every movie succeeds 0.1, but fsum/len of k copies of 0.1 is not 0.1
+    # for k = 3, 6, 12, ...: an actor's mean over its movies must still be
+    # 0.1 exactly, so every query on it is counted, not tested
+    from relcd.model import RelationalModel
+
+    null = RelationalModel(movie_schema, ())
+    queries = [
+        (POP, SUCCESS_VIA_ACTOR),
+        (SUCCESS_VIA_ACTOR, POP),
+        (SUCCESS_VIA_ACTOR, COSTAR_POP, frozenset((POP,))),
+        (POP, COSTAR_POP, frozenset((SUCCESS_VIA_ACTOR,))),
+    ]
+    for seed in range(10):
+        skel = random_skeleton(movie_schema, {"ACTOR": 300, "MOVIE": 300}, 2.0, seed=seed)
+        values = sample_data(ground_graph(null, skel), seed=seed)
+        for node in values:
+            if node[0] == "MOVIE":
+                values[node] = 0.1
+        backend = RegressionCI(skel.with_values(values))
+        for query in queries:
+            assert ask(backend, *query), (seed, query)
+        assert backend.outcomes == {"zero_variance": len(queries)}, seed
+
+
 def degenerate_columns(n):
     """Constructed columns [x, y, *Z] whose design matrix [1, x, *Z] or
     residuals are singular, each with the outcome it must count."""

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relcd import model as model_module
 from relcd.errors import Infeasible
 from relcd.model import (
     RelationalModel,
@@ -17,6 +18,7 @@ from relcd.model import (
     reverse_dependency,
 )
 from relcd.schema import random_schema
+from tests import reference
 from tests.conftest import dep, single_entity_schema, var
 from tests.reference import is_dag
 
@@ -77,6 +79,37 @@ def test_potential_dependencies_closed_under_reverse(seed, k, hops):
     for d in pds:
         assert reverse_dependency(d) in pds_set
         assert d.cause.attribute_class != d.effect.attribute_class
+
+
+@given(seed=st.integers(0, 5000), k=st.integers(1, 4), hops=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_potential_dependencies_match_reference_order(seed, k, hops):
+    # text keys built from each path's text sort as str(dep) does
+    schema = random_schema(seed, k)
+    assert potential_dependencies(schema, hops) == reference.potential_dependencies(
+        schema, hops
+    )
+
+
+def _random_models(cases) -> list[str | None]:
+    """``model_to_json`` of each case's ``random_model``, None if infeasible."""
+    out = []
+    for seed, k, num_deps in cases:
+        try:
+            out.append(model_to_json(random_model(random_schema(seed, k), num_deps, seed=seed)))
+        except Infeasible:
+            out.append(None)
+    return out
+
+
+def test_random_model_draws_as_from_the_reference_pool(monkeypatch):
+    # random_model draws by index into the pool, so the pool's order is its output
+    cases = [(seed, 1 + seed % 4, 1 + seed % 7) for seed in range(20)]
+    mine = _random_models(cases)
+    monkeypatch.setattr(model_module, "potential_dependencies",
+                        reference.potential_dependencies)
+    assert _random_models(cases) == mine
+    assert sum(m is not None for m in mine) >= 15
 
 
 @given(seed=st.integers(0, 5000))

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcd import rcd
-from relcd.agg import build_all, node_table, orient
+from relcd.agg import NodeTable, build_all, lift, node_table, orient
 from relcd.ci import OracleCI, RegressionCI
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import (
     RelationalModel,
     canonical_pair,
+    potential_dependencies,
     random_model,
     reverse_dependency,
 )
@@ -23,6 +24,7 @@ from relcd.rcd import (
     LearnConfig,
     bivariate_orientation,
     collider_detection,
+    learn_plan,
     majority_vote,
     meek_rules,
     pattern_to_dict,
@@ -478,6 +480,47 @@ def test_phase1_survivors_are_sorted_closed_and_order_free(entities, deps, trial
     for seed in range(3):
         shuffled, _ = phase1(schema, backend, config, rng=np.random.default_rng(seed))
         assert shuffled == canonical
+
+
+def test_learn_plan_is_shared_and_read_only():
+    # a vote's runs share one plan; pruning works on a copy of its masks
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 10, 0))
+    config = LearnConfig()
+    schema, truth = generate_case(3, 10, config.hop_threshold, seq)
+    plan = learn_plan(schema, config.hop_threshold)
+    causes = dict(plan.causes)
+    first = phase1(schema, OracleCI(truth, hops=8), config)
+    majority_vote(schema, OracleCI(truth, hops=8), config, runs=3)
+    assert learn_plan(schema, config.hop_threshold) is plan
+    assert dict(plan.causes) == causes
+    with pytest.raises(TypeError):
+        plan.causes[next(iter(causes))] = 0
+    assert phase1(schema, OracleCI(truth, hops=8), config) == first
+    assert plan.dependencies == tuple(potential_dependencies(schema, config.hop_threshold))
+
+
+def test_phase1_asks_by_the_tables_node_table_holds():
+    # the plan holds no table: once node_table's cache drops a table, phase
+    # I asks by the one node_table makes anew, whose nodes the oracle's
+    # graph shares, so no query pays for id translation
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 10, 0))
+    schema, truth = generate_case(3, 10, LearnConfig().hop_threshold, seq)
+    phase1(schema, OracleCI(truth, hops=8), LearnConfig())
+    node_table.cache_clear()
+    lift.cache_clear()
+    asked = []
+
+    class Recording(CountingCI):
+        def independent(self, table, x, y, z=0):
+            asked.append(table)
+            return super().independent(table, x, y, z)
+
+    backend = Recording(OracleCI(truth, hops=8))
+    phase1(schema, backend, LearnConfig())
+    assert asked and all(type(t) is NodeTable for t in asked)
+    assert all(t is node_table(schema, t.perspective, 8) for t in asked)
+    oracle = backend.inner
+    assert all(t.nodes is oracle._agg(t.perspective).nodes for t in asked)
 
 
 # pattern_to_dict of oracle learns on the benchmark grid's first draws, as

@@ -35,6 +35,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name, values, low in (("entities", self.entities, 1), ("deps", self.deps, 0)):
             if any(v < low for v in values):
                 raise ValueError(f"{name} must be >= {low}")

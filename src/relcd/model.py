@@ -191,6 +191,8 @@ def random_model(
         raise ValueError("max_parents must be >= 0")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     full_pool = potential_dependencies(schema, hop_threshold)
     rng = np.random.default_rng(seed)
     for _ in range(restarts):

@@ -41,6 +41,8 @@ class LearnConfig:
     def __post_init__(self):
         if self.hop_threshold < 0 or self.depth < 0:
             raise ValueError("hop_threshold and depth must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rbo_order not in ("rbo_after_cd", "rbo_first", "rbo_last"):
             raise ValueError(f"unknown rbo_order {self.rbo_order!r}")
 

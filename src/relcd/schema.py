@@ -180,6 +180,8 @@ def random_schema(seed: int, num_entities: int, attr_rate: float = 1.0) -> Schem
         raise ValueError("num_entities must be >= 1")
     if not 0 <= attr_rate <= 100:
         raise ValueError("attr_rate must be finite and in [0, 100]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     entity_names = [f"E{i + 1}" for i in range(num_entities)]
     rel_specs: list[tuple[str, str, str, Cardinality, Cardinality]] = []

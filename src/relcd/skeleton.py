@@ -270,6 +270,8 @@ def random_skeleton(
             raise ValueError(f"size for {entity!r} must be >= 1")
     if not 0 < link_density < math.inf:
         raise ValueError("link_density must be finite and > 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     instances = {
         e.name: tuple(f"{e.name.lower()}{i}" for i in range(sizes[e.name]))
@@ -383,6 +385,8 @@ def sample_data(gg: GroundGraph, seed: int = 0) -> dict[Node, float]:
     so every cause is complete before it is read, and in text order within
     an attribute class. Values are deterministic for a given seed.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     lo, hi = COEFF_RANGE
     coeffs = {

@@ -172,6 +172,25 @@ def test_cached_walk_never_answers_an_invalid_query(movie_truth, own):
     assert len(oracle._memo) == 1
 
 
+def test_regression_never_answers_an_invalid_query(movie_data):
+    # by node id, so that only the backend's own check, run before the memo,
+    # can refuse a query that repeats an id
+    backend = RegressionCI(movie_data)
+    table = node_table(movie_data.schema, "ACTOR", 4)
+    i = table.index
+    backend.independent(table, i[POP], i[COSTAR_POP])  # fills the memo
+    invalid = [
+        (i[POP], i[POP], 0, "query variables must differ"),
+        (i[POP], i[COSTAR_POP], 1 << i[POP], "conditioning set must exclude"),
+        (i[POP], i[COSTAR_POP], 1 << i[COSTAR_POP], "conditioning set must exclude"),
+    ]
+    for x, y, z, message in invalid:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                backend.independent(table, x, y, z)
+    assert len(backend._memo) == 1
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_oracle_walk_memo_answers_like_networkx(seed, monkeypatch):
     # every disjoint (x, y, Z) with |Z| <= 2, both ways round, twice, in a

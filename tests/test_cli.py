@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 
 import relcd
 from relcd.cli import main
-from relcd.model import model_from_json, model_to_json
+from relcd.model import model_from_json, model_to_json, parse_dependency
 from relcd.schema import schema_from_json, schema_to_json
 from relcd.skeleton import load_skeleton
+from tests.conftest import propositional_model, single_entity_schema
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -343,6 +345,32 @@ def test_agg_export(tmp_path, movie_files):
     assert '"[ACTOR].Popularity" -> "[ACTOR, STARS-IN, MOVIE].Success"' in dot
 
 
+@pytest.mark.parametrize("truth", ["movie", "chain"])
+def test_learn_writes_dot(tmp_path, movie_files, truth):
+    schema_path, model_path = movie_files
+    if truth == "chain":  # X -> Y on one entity class stays undirected
+        schema = single_entity_schema("X", "Y")
+        schema_path.write_text(schema_to_json(schema))
+        model_path.write_text(model_to_json(propositional_model(schema, [("X", "Y")])))
+    argv = ["learn", "--schema", schema_path, "--model", model_path]
+    dots = [tmp_path / "a.dot", tmp_path / "b.dot"]
+    for out in dots:
+        assert run([*argv, "--format", "dot", "-o", out]) == 0
+    assert dots[0].read_bytes() == dots[1].read_bytes()
+    assert run([*argv, "-o", tmp_path / "learned.json"]) == 0
+    learned = json.loads((tmp_path / "learned.json").read_text())["dependencies"]
+    status = "directed" if truth == "movie" else "undirected"
+    assert [d["status"] for d in learned] == [status]
+    edges = []
+    for d in learned:
+        dep = parse_dependency(d["dependency"])
+        edge = f'  "{dep.cause.attribute_class}" -> "{dep.effect.attribute_class}"'
+        edges.append(edge + (";" if d["status"] == "directed" else " [dir=none];"))
+    lines = dots[0].read_text().splitlines()
+    assert lines[:2] == ["digraph learned {", "  node [shape=box, fontsize=10];"]
+    assert lines[2:] == [*edges, "}"]
+
+
 def test_agg_export_names_negative_hops(tmp_path, capsys, movie_files):
     schema_path, model_path = movie_files
     out = tmp_path / "actor.dot"
@@ -381,6 +409,15 @@ def test_gg_export(tmp_path, movie_files, movie_schema):
     doc = json.loads(out.read_text())
     assert doc["nodes"]
     assert all(len(edge) == 2 for edge in doc["edges"])
+    # the default format is DOT: one line per ground edge, the same each run
+    dots = [tmp_path / "a.dot", tmp_path / "b.dot"]
+    for dot in dots:
+        argv = ["gg", "export", "--model", model_path, "--data", skel_dir / "manifest.json"]
+        assert run([*argv, "-o", dot]) == 0
+    assert dots[0].read_bytes() == dots[1].read_bytes()
+    lines = dots[0].read_text().splitlines()
+    assert lines[:2] == ["digraph ground {", "  node [shape=ellipse, fontsize=10];"]
+    assert lines[2:] == [f'  "{a}" -> "{b}";' for a, b in doc["edges"]] + ["}"]
 
 
 def test_bench_command_deterministic(tmp_path):
@@ -598,6 +635,31 @@ def test_grid_names_bad_entries(tmp_path, capsys, command, extra, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["gen-schema", "gen-model", "gen-skeleton", "learn-runs1", "learn-runs3", "bench", "profile"],
+)
+def test_negative_seed_is_named(tmp_path, capsys, movie_files, command):
+    schema_path, model_path = movie_files
+    learn = ["learn", "--schema", schema_path, "--model", model_path]
+    argv = {
+        "gen-schema": ["gen", "schema", "--entities", 2],
+        "gen-model": ["gen", "model", "--schema", schema_path, "--deps", 1],
+        "gen-skeleton": [
+            "gen", "skeleton", "--schema", schema_path, "--sizes", "ACTOR=5,MOVIE=5",
+            "--model", model_path,
+        ],
+        "learn-runs1": learn,
+        "learn-runs3": [*learn, "--runs", 3],
+        "bench": _grid("bench"),
+        "profile": _grid("profile"),
+    }[command]
+    out = tmp_path / "out"
+    assert run([*argv, "--seed", -1, "-o", out]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 ORACLE_BELOW_LEARNER = [
     (["--oracle-hops", 6], "--oracle-hops 6 is below twice --hop-threshold 4: "
      "the learner asks about variables up to 8 hops"),
@@ -683,3 +745,45 @@ def test_movie_demo_script():
         f"oracle learn: {learned}",
         f"data learn (100-run vote): {learned}",
     ]
+
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize(
+    ("workload", "module", "old", "new", "message"),
+    [
+        # the learns differ: CI-test counts at least
+        ("oracle-grid", "rcd.py", "    depth: int = 3\n", "    depth: int = 2\n",
+         "item 0: the trees learn different patterns"),
+        # the sampled values, so data-vote's inputs, differ
+        ("data-vote", "skeleton.py", "COEFF_RANGE = (0.3, 0.7)\n",
+         "COEFF_RANGE = (0.3, 0.71)\n", "item 0: the trees draw different inputs"),
+    ],
+    ids=["oracle-grid", "data-vote"],
+)
+def test_ab_learns_script(tmp_path, workload, module, old, new, message):
+    src = Path(relcd.__file__).resolve().parent.parent
+
+    def ab_learns(base, new_src):
+        argv = [
+            sys.executable, str(ROOT / "scripts" / "ab_learns.py"), str(base),
+            str(new_src), "--passes", "1", "--workload", workload,
+        ]
+        return subprocess.run(argv, capture_output=True, text=True)
+
+    done = ab_learns(src, src)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pass 0: base ")
+    items = {"oracle-grid": 200, "data-vote": 6}[workload]
+    assert f"identical pattern_to_dict outputs on {items} {workload} items x 1 passes" in lines
+    assert f"identical inputs on {items} {workload} items" in lines
+    changed = tmp_path / "src"
+    shutil.copytree(src / "relcd", changed / "relcd", ignore=shutil.ignore_patterns("__pycache__"))
+    source = changed / "relcd" / module
+    text = source.read_text()
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new))
+    done = ab_learns(src, changed)
+    assert done.returncode == 1
+    assert done.stderr == message + "\n"
+    assert done.stdout == ""  # before any pass ends

@@ -16,6 +16,7 @@ from relcd.model import (
     potential_dependencies,
     random_model,
     reverse_dependency,
+    validate_dependency,
 )
 from relcd.schema import random_schema
 from tests import reference
@@ -179,6 +180,29 @@ def test_model_rejects_unknown_attribute(movie_schema):
         )
 
 
+@pytest.mark.parametrize(
+    ("text", "error"),
+    [
+        (
+            "[ACTOR].Popularity -> [ACTOR, STARS-IN, MOVIE].Success",
+            "dependency is not canonical",
+        ),
+        (
+            "[ACTOR, MOVIE].Success -> [ACTOR].Popularity",
+            "invalid cause path",
+        ),
+        (
+            "[ACTOR].Popularity -> [MOVIE].Success",
+            "cause and effect perspectives differ",
+        ),
+    ],
+    ids=["non-canonical", "invalid-path", "perspectives"],
+)
+def test_validate_dependency_names_each_fault(movie_schema, text, error):
+    with pytest.raises(ValueError, match=error):
+        validate_dependency(parse_dependency(text), movie_schema)
+
+
 def test_model_rejects_same_attribute_dependency(movie_schema):
     loop = dep(
         ["ACTOR", "STARS-IN", "MOVIE", "STARS-IN", "ACTOR"],
@@ -214,12 +238,14 @@ def test_random_model_deterministic():
         ({"max_parents": -1}, "max_parents must be >= 0"),
         ({"restarts": 0}, "restarts must be >= 1"),
         ({"restarts": -3}, "restarts must be >= 1"),
+        ({"num_deps": -1}, "num_deps must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
-    ids=["max-parents-1", "restarts0", "restarts-3"],
+    ids=["max-parents-1", "restarts0", "restarts-3", "num-deps-1", "seed-1"],
 )
 def test_random_model_rejects_bad_bounds(movie_schema, kwargs, message):
     with pytest.raises(ValueError, match=message):
-        random_model(movie_schema, 1, seed=0, **kwargs)
+        random_model(movie_schema, **{"num_deps": 1, "seed": 0, **kwargs})
 
 
 def test_random_model_accepts_zero_parents(movie_schema):
@@ -256,6 +282,8 @@ def test_parse_variable_round_trip():
     assert parse_variable(str(v)) == v
     with pytest.raises(ValueError):
         parse_variable("[ACTOR] Popularity")
+    with pytest.raises(ValueError, match="malformed dependency"):
+        parse_dependency("[ACTOR].Popularity <- [ACTOR, STARS-IN, MOVIE].Success")
 
 
 def test_canonical_pair_representative():

@@ -129,6 +129,11 @@ def test_enumerate_paths_unknown_perspective(movie_schema):
         enumerate_paths(movie_schema, "STUDIO", 2)
 
 
+def test_enumerate_paths_rejects_a_negative_threshold(movie_schema):
+    with pytest.raises(ValueError, match="hop_threshold must be >= 0"):
+        enumerate_paths(movie_schema, "MOVIE", -1)
+
+
 @given(seed=st.integers(0, 5000), k=st.integers(1, 4), hops=st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_enumerate_paths_monotone_in_hops(seed, k, hops):

@@ -55,6 +55,8 @@ def test_config_validation():
         LearnConfig(depth=-1)
     with pytest.raises(ValueError):
         LearnConfig(rbo_order="sideways")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        LearnConfig(seed=-1)
 
 
 def test_phase1_movie_keeps_true_pair(movie_truth):
@@ -442,6 +444,17 @@ def test_majority_vote_threshold_semantics():
     # present in one of two runs: dropped at threshold 1.0, kept at 0.5
     assert run_vote(1.0) == {stable}
     assert run_vote(0.5) == {stable, flaky}
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "error"),
+    [({"runs": 0}, "runs must be >= 1"), ({"threshold": 0}, r"threshold must lie in \(0, 1\]")],
+    ids=["runs0", "threshold0"],
+)
+def test_majority_vote_rejects_bad_parameters(movie_truth, kwargs, error):
+    backend = OracleCI(movie_truth, 8)
+    with pytest.raises(ValueError, match=error):
+        majority_vote(movie_truth.schema, backend, LearnConfig(), **kwargs)
 
 
 def test_pattern_to_dict_shape(movie_truth):

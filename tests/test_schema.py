@@ -66,6 +66,28 @@ def test_duplicate_attribute_reported():
     assert not validate_schema(schema).ok
 
 
+@pytest.mark.parametrize(
+    ("schema", "error"),
+    [
+        (Schema(entities=(EntityClass("1A", ("X",)),)), "invalid item class name '1A'"),
+        (
+            Schema(entities=(EntityClass("A", ("X y",)),)),
+            "invalid attribute name 'X y' on 'A'",
+        ),
+        (
+            Schema(
+                entities=(EntityClass("A", ("X",)), EntityClass("B", ("Y",))),
+                relationships=(RelationshipClass("R", ("A", "B"), (Cardinality.ONE,)),),
+            ),
+            "'R': cardinality required for both participants",
+        ),
+    ],
+    ids=["class-name", "attribute-name", "one-cardinality"],
+)
+def test_validate_schema_names_each_fault(schema, error):
+    assert validate_schema(schema).errors == (error,)
+
+
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_random_schema_well_formed(seed, k):
@@ -89,6 +111,11 @@ def test_random_schema_well_formed(seed, k):
 def test_random_schema_deterministic():
     assert random_schema(42, 3) == random_schema(42, 3)
     assert random_schema(42, 3) != random_schema(43, 3)
+
+
+def test_random_schema_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_schema(-1, 2)
 
 
 def test_random_schema_rejects_bad_count():
@@ -154,6 +181,27 @@ def test_schema_json_rejects_invalid():
         ],
     }
     with pytest.raises(ValueError):
+        schema_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    ("doc", "error"),
+    [
+        (
+            {
+                "entities": [{"name": "A"}, {"name": "B"}, {"name": "C"}],
+                "relationships": [
+                    {"name": "R", "participants": ["A", "B", "C"], "card": {}}
+                ],
+            },
+            "relationship 'R': exactly two participants required",
+        ),
+        ({"entities": [{"attributes": ["X"]}]}, "malformed schema document: 'name'"),
+    ],
+    ids=["three-participants", "no-name"],
+)
+def test_schema_json_names_a_malformed_document(doc, error):
+    with pytest.raises(ValueError, match=error):
         schema_from_json(json.dumps(doc))
 
 

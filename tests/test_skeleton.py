@@ -74,6 +74,26 @@ def test_random_skeleton_rejects_bad_density(movie_schema, density):
         random_skeleton(movie_schema, {"ACTOR": 4, "MOVIE": 4}, density, seed=0)
 
 
+@pytest.mark.parametrize(
+    ("sizes", "seed", "error"),
+    [
+        ({"ACTOR": 0, "MOVIE": 4}, 0, "size for 'ACTOR' must be >= 1"),
+        ({"ACTOR": 4}, 0, "size for 'MOVIE' must be >= 1"),
+        ({"ACTOR": 4, "MOVIE": 4}, -1, "seed must be >= 0"),
+    ],
+    ids=["size0", "size-missing", "seed-1"],
+)
+def test_random_skeleton_rejects_bad_sizes_and_seeds(movie_schema, sizes, seed, error):
+    with pytest.raises(ValueError, match=error):
+        random_skeleton(movie_schema, sizes, 1.0, seed=seed)
+
+
+def test_sample_data_rejects_a_negative_seed(movie_truth):
+    skel = random_skeleton(movie_truth.schema, {"ACTOR": 3, "MOVIE": 3}, 1.0, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        sample_data(ground_graph(movie_truth, skel), seed=-1)
+
+
 def test_random_skeleton_density_infeasible(employer_schema):
     with pytest.raises(Infeasible):
         random_skeleton(employer_schema, {"EMPLOYEE": 3, "COMPANY": 3}, 5.0, seed=0)
@@ -629,6 +649,39 @@ def test_load_missing_file(movie_schema, tmp_path):
     manifest = save_skeleton(skel, tmp_path)
     (tmp_path / "actor.csv").unlink()
     with pytest.raises(ValueError, match="missing"):
+        load_skeleton(movie_schema, manifest)
+
+
+def test_load_rejects_a_manifest_missing_a_class(movie_schema, tmp_path):
+    skel = random_skeleton(movie_schema, {"ACTOR": 3, "MOVIE": 3}, 1.0, seed=0)
+    manifest = save_skeleton(skel, tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["files"]["MOVIE"]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="manifest missing file for class 'MOVIE'"):
+        load_skeleton(movie_schema, manifest)
+
+
+@pytest.mark.parametrize(
+    ("name", "header", "error"),
+    [
+        ("actor.csv", "name", "actor.csv: first column must be 'id'"),
+        (
+            "stars-in.csv",
+            "id,MOVIE_id,ACTOR_id",
+            r"expected participant columns \['ACTOR_id', 'MOVIE_id'\], "
+            r"got \['MOVIE_id', 'ACTOR_id'\]",
+        ),
+    ],
+    ids=["first-column", "participant-columns"],
+)
+def test_load_rejects_a_bad_header(movie_schema, tmp_path, name, header, error):
+    skel = random_skeleton(movie_schema, {"ACTOR": 3, "MOVIE": 3}, 1.0, seed=0)
+    manifest = save_skeleton(skel, tmp_path)
+    table = tmp_path / name
+    lines = table.read_text().splitlines()
+    table.write_text("\n".join([header, *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=error):
         load_skeleton(movie_schema, manifest)
 
 

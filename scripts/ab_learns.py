@@ -43,9 +43,9 @@ tree's ``agg.lift`` cache hits and misses within each pass. On oracle-grid
 it prints each tree's Bayes-ball walks within each pass, counted by
 wrapping ``Agg.reach``. The wrappers cost each call the same small time in
 both trees, so the walk counter slightly favours the tree that walks less.
-Each pass also times each tree's ``setup`` once more, the trees in turn
-first from pass to pass, and prints those times and their ratio with the
-pass, and their median ratio at the end. On data-vote it ends with one
+It does not time set-up: one set-up per tree per pass is too few to tell
+two identical trees apart, so a set-up claim needs the benchmark's
+``setup_s`` in alternating runs. On data-vote it ends with one
 untimed pass per tree under ``tracemalloc`` and prints the peak MB each
 tree's votes trace, so a trade of memory for speed shows before the
 benchmark's ``peak_rss_mb`` bound refuses it.
@@ -58,7 +58,6 @@ import importlib.util
 import statistics
 import sys
 import tempfile
-import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -202,8 +201,7 @@ def main(argv=None) -> int:
 
 
 def run_passes(args, trees, workloads, workdir: Path) -> int:
-    workdirs = [workdir / "base", workdir / "new"]
-    inputs = [w.setup(0, d) for w, d in zip(workloads, workdirs)]
+    inputs = [w.setup(0, workdir / label) for w, label in zip(workloads, ("base", "new"))]
     drawn = [drawn_inputs(*side) for side in zip(trees, workloads, inputs)]
     for j, (base, new) in enumerate(zip(*drawn)):
         if base != new:
@@ -213,15 +211,9 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
     oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
     items = workloads[0].unit_ops
-    ratios, setup_ratios = [], []
+    ratios = []
     outcomes = []  # each item's outcomes, from the first pass
     for p in range(args.passes):
-        setup_seconds = [0.0, 0.0]
-        for t in (0, 1) if p % 2 == 0 else (1, 0):
-            began = time.perf_counter()
-            workloads[t].setup(0, workdirs[t])
-            setup_seconds[t] = time.perf_counter() - began
-        setup_ratios.append(setup_seconds[0] / setup_seconds[1])
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
         walks_before = [w[0] for w in walks]
@@ -247,8 +239,7 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
         ratios.append(seconds[0] / seconds[1])
         line = (
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
-            f"ratio {ratios[-1]:.3f}; set-up base {setup_seconds[0]:.3f} s, "
-            f"new {setup_seconds[1]:.3f} s, ratio {setup_ratios[-1]:.3f}"
+            f"ratio {ratios[-1]:.3f}"
         )
         for label, tree, start, walked, start_walks in zip(
             ("base", "new"), trees, before, walks, walks_before
@@ -264,7 +255,6 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
     )
     print(f"identical inputs on {len(drawn[0])} {args.workload} items")
     print(f"median ratio (base / new): {statistics.median(ratios):.3f}")
-    print(f"median set-up ratio (base / new): {statistics.median(setup_ratios):.3f}")
     if not oracle:
         print(f"identical RegressionCI outcomes per vote: {outcomes}")
         for label, *side, kept in zip(("base", "new"), trees, workloads, inputs, patterns):

@@ -38,7 +38,6 @@ from .model import (
 )
 from .paths import (
     RelationalPath,
-    cardinality,
     enumerate_paths,
     is_valid,
     parse_path,
@@ -61,7 +60,6 @@ from .schema import (
     RelationshipClass,
     Schema,
     random_schema,
-    relationships_of,
     schema_from_json,
     schema_to_json,
     validate_schema,

@@ -294,15 +294,14 @@ def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
     return AggSet(aggs=aggs, registry=registry, siblings=siblings)
 
 
-def orient(
-    agg_set: AggSet, dependency: RelationalDependency, rule: str | None = None
-) -> bool:
+def orient(agg_set: AggSet, dependency: RelationalDependency, rule: str) -> bool:
     """Register a dependency's direction, directing its edges in every graph.
 
-    Returns True when the registry changed. Re-orienting in the same
-    direction is a no-op; an orientation opposing the pair's own state or
-    the state of a sibling pair over the same attribute classes is recorded
-    as a conflict and ignored (first orientation wins).
+    Returns True when the registry changed; the pair is then attributed to
+    ``rule``. Re-orienting in the same direction is a no-op; an orientation
+    opposing the pair's own state or the state of a sibling pair over the
+    same attribute classes is recorded as a conflict, naming ``rule``, and
+    ignored (first orientation wins).
     """
     registry = agg_set.registry
     # its keys are canonical pairs: the dependency, or else its reverse
@@ -314,9 +313,7 @@ def orient(
     if current is not None:
         if current == dependency:
             return False
-        agg_set.conflicts.append(
-            f"{rule or 'orientation'} wanted {dependency} but registry holds {current}"
-        )
+        agg_set.conflicts.append(f"{rule} wanted {dependency} but registry holds {current}")
         return False
     # the pair is among its own siblings, harmlessly: it is unoriented here
     for sibling in agg_set.siblings[_classes(pair)]:
@@ -325,16 +322,12 @@ def orient(
             oriented is not None
             and oriented.cause.attribute_class != dependency.cause.attribute_class
         ):
-            agg_set.conflicts.append(
-                f"{rule or 'orientation'} wanted {dependency} but sibling holds "
-                f"{oriented}"
-            )
+            agg_set.conflicts.append(f"{rule} wanted {dependency} but sibling holds {oriented}")
             return False
     registry[pair] = dependency
     for agg in agg_set.aggs.values():
         agg.direct(pair, dependency)
-    if rule is not None:
-        agg_set.attribution[pair] = rule
+    agg_set.attribution[pair] = rule
     return True
 
 
@@ -353,15 +346,19 @@ def unshielded_triples(agg: Agg):
     return out
 
 
+def to_dot(name: str, shape: str, statements) -> str:
+    """A DOT digraph: the header, one node style, the statements, the close."""
+    lines = [f"digraph {name} {{", f"  node [shape={shape}, fontsize=10];"]
+    lines.extend(f"  {statement}" for statement in statements)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def agg_to_dot(agg: Agg) -> str:
     """DOT rendering: directed edges with arrows, undirected without."""
-    lines = [f'digraph "{agg.perspective}" {{']
-    lines.append("  node [shape=box, fontsize=10];")
-    for v in agg.nodes:
-        lines.append(f'  "{v}";')
+    statements = [f'"{v}";' for v in agg.nodes]
     for a, b, directed in agg.edges():
         pairs = "; ".join(str(p) for p in agg.pairs_of(agg.index[a], agg.index[b]))
         style = "" if directed else ", dir=none"
-        lines.append(f'  "{a}" -> "{b}" [tooltip="{pairs}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        statements.append(f'"{a}" -> "{b}" [tooltip="{pairs}"{style}];')
+    return to_dot(f'"{agg.perspective}"', "box", statements)

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .agg import agg_to_dot
+from .agg import agg_to_dot, to_dot
 from .ci import (
     OracleCI, RegressionCI, ask, check_query, check_regression_parameters, oriented_agg,
 )
@@ -38,8 +38,11 @@ from .skeleton import (
 def _write(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output file {output}: {exc.strerror}") from exc
 
 
 def _read(path: str, flag: str, parse):
@@ -99,7 +102,12 @@ def cmd_gen_skeleton(args) -> None:
         model = _read_model(args.model)
         values = sample_data(ground_graph(model, skeleton), seed=args.seed)
         skeleton = skeleton.with_values(values)
-    manifest = save_skeleton(skeleton, args.output)
+    try:
+        manifest = save_skeleton(skeleton, args.output)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write --output directory {args.output}: {exc.strerror}"
+        ) from exc
     sys.stdout.write(f"{manifest}\n")
 
 
@@ -146,15 +154,15 @@ def cmd_learn(args) -> None:
 
 
 def _pattern_dot(pattern) -> str:
-    lines = ["digraph learned {", "  node [shape=box, fontsize=10];"]
-    for dep in pattern.directed:
-        lines.append(f'  "{dep.cause.attribute_class}" -> "{dep.effect.attribute_class}";')
-    for pair in pattern.undirected:
-        lines.append(
-            f'  "{pair.cause.attribute_class}" -> "{pair.effect.attribute_class}" [dir=none];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    statements = [
+        f'"{dep.cause.attribute_class}" -> "{dep.effect.attribute_class}";'
+        for dep in pattern.directed
+    ]
+    statements += [
+        f'"{pair.cause.attribute_class}" -> "{pair.effect.attribute_class}" [dir=none];'
+        for pair in pattern.undirected
+    ]
+    return to_dot("learned", "box", statements)
 
 
 def cmd_dsep(args) -> None:
@@ -182,11 +190,8 @@ def cmd_gg_export(args) -> None:
         }
         _write(_json_dump(doc), args.output)
     else:
-        lines = ["digraph ground {", "  node [shape=ellipse, fontsize=10];"]
-        for a, b in gg.edges():
-            lines.append(f'  "{".".join(a)}" -> "{".".join(b)}";')
-        lines.append("}")
-        _write("\n".join(lines) + "\n", args.output)
+        statements = [f'"{".".join(a)}" -> "{".".join(b)}";' for a, b in gg.edges()]
+        _write(to_dot("ground", "ellipse", statements), args.output)
 
 
 def cmd_agg_export(args) -> None:

@@ -29,10 +29,6 @@ class RelationalPath:
     def last(self) -> str:
         return self.items[-1]
 
-    @property
-    def hops(self) -> int:
-        return len(self.items) - 1
-
     def __str__(self):
         return "[" + ", ".join(self.items) + "]"
 
@@ -87,21 +83,6 @@ def is_valid(p: RelationalPath, schema: Schema) -> bool:
 
 def reverse(p: RelationalPath) -> RelationalPath:
     return RelationalPath(tuple(reversed(p.items)))
-
-
-def cardinality(p: RelationalPath, schema: Schema) -> Cardinality:
-    """MANY iff some hop from an entity into a relationship can fan out.
-
-    Steps from a relationship into an entity always reach exactly one
-    instance, so only entity-to-relationship hops with card(R, E) = MANY
-    make the whole path reach more than one instance.
-    """
-    if not is_valid(p, schema):
-        raise ValueError(f"invalid path {p}")
-    for a, b in zip(p.items, p.items[1:]):
-        if schema.is_entity(a) and schema.item_classes[b].card(a) is Cardinality.MANY:
-            return Cardinality.MANY
-    return Cardinality.ONE
 
 
 def enumerate_paths(

@@ -12,25 +12,18 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, total_ordering
+from functools import cached_property
 
 import numpy as np
 
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
-@total_ordering
 class Cardinality(Enum):
     """Participation bound of one entity instance in a relationship class."""
 
     ONE = "ONE"
     MANY = "MANY"
-
-    def __lt__(self, other):
-        if not isinstance(other, Cardinality):
-            return NotImplemented
-        # display order only: ONE < MANY
-        return self is Cardinality.ONE and other is Cardinality.MANY
 
     def __str__(self):
         return self.value
@@ -114,12 +107,6 @@ class Schema:
     def attributes_of(self, name: str) -> tuple[str, ...]:
         return self.item_classes[name].attributes
 
-    def attribute_classes(self) -> list[AttributeClass]:
-        out = []
-        for item in (*self.entities, *self.relationships):
-            out.extend(AttributeClass(item.name, a) for a in item.attributes)
-        return out
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -158,13 +145,6 @@ def validate_schema(schema: Schema) -> ValidationReport:
         if len(rel.cards) != 2:
             errors.append(f"{rel.name!r}: cardinality required for both participants")
     return ValidationReport(ok=not errors, errors=tuple(errors))
-
-
-def relationships_of(schema: Schema, entity: str) -> set[str]:
-    """All relationship classes in which ``entity`` participates."""
-    if entity not in schema.entity_names:
-        raise ValueError(f"unknown entity class {entity!r}")
-    return {r.name for r in schema.relationships if entity in r.participants}
 
 
 def random_schema(seed: int, num_entities: int, attr_rate: float = 1.0) -> Schema:

@@ -191,7 +191,7 @@ def _collider_fingerprint(pairs, schema, hops, direction_map):
     deps = [d for pair in pairs for d in (pair, reverse_dependency(pair))]
     agg_set = build_all(deps, schema, hops)
     for oriented in direction_map.values():
-        orient(agg_set, oriented)
+        orient(agg_set, oriented, rule="given")
     fingerprint = []
     for perspective in agg_set.perspectives():
         agg = agg_set.aggs[perspective]

@@ -106,8 +106,8 @@ def test_orientation_propagates_across_perspectives(movie_truth):
 def test_reorienting_same_direction_is_noop(movie_truth):
     agg_set = build_all(movie_truth.dependencies, movie_truth.schema, 4)
     d = movie_truth.dependencies[0]
-    assert orient(agg_set, d)
-    assert not orient(agg_set, d)
+    assert orient(agg_set, d, rule="CD")
+    assert not orient(agg_set, d, rule="CD")
     assert agg_set.conflicts == []
 
 
@@ -117,6 +117,7 @@ def test_conflicting_orientation_logged_and_ignored(movie_truth):
     orient(agg_set, d, rule="CD")
     assert not orient(agg_set, reverse_dependency(d), rule="RBO")
     assert len(agg_set.conflicts) == 1
+    assert agg_set.conflicts[0].startswith(f"RBO wanted {reverse_dependency(d)} ")
     assert agg_set.registry[canonical_pair(d)] == d
 
 
@@ -132,7 +133,7 @@ def test_orient_unknown_dependency(movie_schema, movie_truth):
     ]:
         agg_set = build_all(known, movie_schema, 4)
         with pytest.raises(ValueError, match=re.escape(message)):
-            orient(agg_set, dependency)
+            orient(agg_set, dependency, rule="CD")
 
 
 def test_unshielded_triples_movie(movie_truth):
@@ -291,7 +292,7 @@ def test_oriented_agg_equals_build_all_then_orient(seed, num_entities, hops):
         return
     agg_set = build_all(model.dependencies, schema, hops)
     for d in model.dependencies:
-        assert orient(agg_set, d)
+        assert orient(agg_set, d, rule="CD")
     for perspective in agg_set.perspectives():
         mine = oriented_agg(model, perspective, hops)
         theirs = agg_set.aggs[perspective]
@@ -423,7 +424,7 @@ def test_shared_lifting_keeps_direction_bits_per_graph():
     pair = next(
         p for p in first.registry if any(p in a.pair_edges for a in first.aggs.values())
     )
-    assert orient(first, pair)
+    assert orient(first, pair, rule="CD")
     assert any(any(a.parents) for a in first.aggs.values())
     for perspective, agg in second.aggs.items():
         assert not any(agg.parents) and not any(agg.children)
@@ -523,7 +524,7 @@ def test_agg_to_dot(movie_truth):
     assert dot.startswith('digraph "ACTOR"')
     assert '"[ACTOR].Popularity"' in dot
     assert "dir=none" in dot
-    orient(agg_set, movie_truth.dependencies[0])
+    orient(agg_set, movie_truth.dependencies[0], rule="CD")
     directed_dot = agg_to_dot(agg_set.aggs["ACTOR"])
     assert "dir=none" not in directed_dot
     assert "tooltip=" in directed_dot

@@ -272,11 +272,11 @@ def test_oracle_matches_class_graph_on_single_entity(seed):
     except Infeasible:
         return
     backend = OracleCI(model, hops=8)
+    entity = schema.entities[0].name
     g = digraph(
-        schema.attribute_classes(),
+        [AttributeClass(entity, a) for a in attrs],
         ((d.cause.attribute_class, d.effect.attribute_class) for d in model.dependencies),
     )
-    entity = schema.entities[0].name
     a, b = attrs[0], attrs[1]
     others = frozenset(var([entity], c) for c in attrs[2:3])
     mine = ask(backend, var([entity], a), var([entity], b), others)

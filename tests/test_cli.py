@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import shutil
@@ -98,6 +99,13 @@ def test_gen_skeleton_and_data_learn(tmp_path, movie_files, movie_schema):
     )
     assert code == 0
     assert json.loads(out.read_text())["dependencies"]
+    # a vote: the same seed gives the same bytes
+    votes = [tmp_path / "vote1.json", tmp_path / "vote2.json"]
+    for vote in votes:
+        argv = ["learn", "--schema", schema_path, "--data", skel_dir / "manifest.json"]
+        assert run([*argv, "--runs", 3, "--seed", 3, "-o", vote]) == 0
+    assert votes[0].read_bytes() == votes[1].read_bytes()
+    assert json.loads(votes[0].read_text())["dependencies"]
 
 
 def test_learn_requires_one_backend(movie_files):
@@ -433,6 +441,12 @@ def test_bench_command_deterministic(tmp_path):
     assert run(args + ["-o", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text().startswith("entities,deps,trials,skel_p")
+    # one trial has no spread to estimate: every standard error reads zero
+    single = tmp_path / "single.csv"
+    assert run(["bench", "--entities", "2", "--deps", "1", "--trials", 1, "-o", single]) == 0
+    (row,) = csv.DictReader(single.read_text().splitlines())
+    se = {k: v for k, v in row.items() if k.startswith("se_")}
+    assert se == dict.fromkeys(["se_skel_p", "se_skel_r", "se_orient_p", "se_orient_r"], "0.000000")
 
 
 def test_profile_command(tmp_path):
@@ -510,6 +524,33 @@ def test_learn_rejects_a_model_over_another_schema(tmp_path, capsys, movie_files
     assert capsys.readouterr().err == (
         f"error: the schema of --model {model_path} differs from --schema {other}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "schema", "--entities", "2"],
+        ["learn", "--schema", "{schema}", "--model", "{model}"],
+        ["agg", "export", "--model", "{model}", "--perspective", "ACTOR"],
+        ["gen", "skeleton", "--schema", "{schema}", "--sizes", "ACTOR=3,MOVIE=3"],
+    ],
+    ids=["gen-schema", "learn", "agg-export", "gen-skeleton"],
+)
+def test_unwritable_output_is_named(tmp_path, capsys, movie_files, command):
+    schema_path, model_path = movie_files
+    argv = [part.format(schema=schema_path, model=model_path) for part in command]
+    # a regular file in a directory's place; a missing directory only fails
+    # a file, since gen skeleton makes its output directory's parents
+    unwritable = [(schema_path / "out", "Not a directory")]
+    if command[1] == "skeleton":
+        kind = "directory"
+    else:
+        kind = "file"
+        unwritable.append((tmp_path / "missing" / "out", "No such file or directory"))
+    for output, reason in unwritable:
+        assert run([*argv, "-o", output]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write --output {kind} {output}: {reason}\n"
 
 
 def test_infeasible_model_exits_3(tmp_path):

@@ -1,6 +1,8 @@
 import pytest
 
+from relcd import harness
 from relcd.ci import OracleCI
+from relcd.errors import Infeasible
 from relcd.harness import (
     BENCH_COLUMNS,
     PROFILE_COLUMNS,
@@ -12,7 +14,7 @@ from relcd.harness import (
     run_trials,
     score,
 )
-from relcd.model import RelationalModel, reverse_dependency
+from relcd.model import RelationalModel, random_model, reverse_dependency
 from relcd.rcd import LearnConfig, rcd_learn
 from tests.conftest import propositional_model, single_entity_schema
 from tests.reference import brute_force_pattern, propositional_pattern
@@ -59,6 +61,24 @@ def test_generate_case_deterministic():
     a = generate_case(2, 3, 4, np.random.SeedSequence(5))
     b = generate_case(2, 3, 4, np.random.SeedSequence(5))
     assert a == b
+
+
+def test_generate_case_redraws_after_an_infeasible_model(monkeypatch):
+    import numpy as np
+
+    calls = []
+
+    def infeasible_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise Infeasible("no room")
+        return random_model(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "random_model", infeasible_once)
+    schema, model = generate_case(2, 3, 4, np.random.SeedSequence(5))
+    assert len(calls) == 2
+    assert len(model.dependencies) == 3
+    assert model.schema == schema
 
 
 def test_run_bench_deterministic_and_schedule_independent():

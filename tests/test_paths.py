@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from relcd.paths import (
     RelationalPath,
-    cardinality,
     enumerate_paths,
     is_valid,
     parse_path,
     path,
     reverse,
 )
-from relcd.schema import Cardinality, random_schema
+from relcd.schema import random_schema
 from tests.reference import extend
 
 
@@ -73,32 +72,6 @@ def test_reverse_involution_and_validity(seed, k, hops):
         assert is_valid(reverse(p), schema)
 
 
-def test_cardinality_examples(movie_schema, employer_schema):
-    assert cardinality(path("MOVIE", "STARS-IN", "ACTOR"), movie_schema) is Cardinality.MANY
-    assert cardinality(path("ACTOR"), movie_schema) is Cardinality.ONE
-    assert (
-        cardinality(path("EMPLOYEE", "WORKS-FOR", "COMPANY"), employer_schema)
-        is Cardinality.ONE
-    )
-    assert (
-        cardinality(path("COMPANY", "WORKS-FOR", "EMPLOYEE"), employer_schema)
-        is Cardinality.MANY
-    )
-
-
-def test_cardinality_rejects_invalid(movie_schema):
-    with pytest.raises(ValueError):
-        cardinality(path("ACTOR", "STARS-IN", "ACTOR"), movie_schema)
-
-
-@given(seed=st.integers(0, 5000), k=st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
-def test_singleton_cardinality_one(seed, k):
-    schema = random_schema(seed, k)
-    for name in schema.item_classes:
-        assert cardinality(path(name), schema) is Cardinality.ONE
-
-
 def test_enumerate_paths_hop_zero(movie_schema):
     assert enumerate_paths(movie_schema, "ACTOR", 0) == [path("ACTOR")]
 
@@ -144,7 +117,7 @@ def test_enumerate_paths_monotone_in_hops(seed, k, hops):
     assert set(smaller) <= set(larger)
     for p in larger:
         assert is_valid(p, schema)
-        assert p.hops <= hops + 1
+        assert len(p.items) - 1 <= hops + 1
 
 
 def test_extend_costar_example(movie_schema):

@@ -11,7 +11,6 @@ from relcd.schema import (
     RelationshipClass,
     Schema,
     random_schema,
-    relationships_of,
     schema_from_json,
     schema_to_json,
     validate_schema,
@@ -81,11 +80,27 @@ def test_duplicate_attribute_reported():
             ),
             "'R': cardinality required for both participants",
         ),
+        (
+            Schema(
+                entities=tuple(EntityClass(e, ("X",)) for e in "ABC"),
+                relationships=(
+                    RelationshipClass("R", ("A", "B", "C"), (Cardinality.ONE,) * 3),
+                ),
+            ),
+            "'R': exactly two participants required",
+        ),
     ],
-    ids=["class-name", "attribute-name", "one-cardinality"],
+    ids=["class-name", "attribute-name", "one-cardinality", "three-participants"],
 )
 def test_validate_schema_names_each_fault(schema, error):
     assert validate_schema(schema).errors == (error,)
+
+
+@pytest.mark.parametrize("method", ["card", "other"])
+def test_relationship_refuses_a_non_participant(movie_schema, method):
+    stars_in = movie_schema.item_classes["STARS-IN"]
+    with pytest.raises(ValueError, match="'STUDIO' does not participate in 'STARS-IN'"):
+        getattr(stars_in, method)("STUDIO")
 
 
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 4))
@@ -145,21 +160,6 @@ def test_random_schema_zero_attr_rate_gives_one_attribute_each():
         assert len(item.attributes) == 1
 
 
-def test_relationships_of_movie(movie_schema):
-    assert relationships_of(movie_schema, "ACTOR") == {"STARS-IN"}
-    assert relationships_of(movie_schema, "MOVIE") == {"STARS-IN"}
-
-
-def test_relationships_of_isolated_entity():
-    schema = Schema(entities=(EntityClass("A", ("X",)),))
-    assert relationships_of(schema, "A") == set()
-
-
-def test_relationships_of_unknown_entity(movie_schema):
-    with pytest.raises(ValueError):
-        relationships_of(movie_schema, "STUDIO")
-
-
 def test_schema_json_round_trip(movie_schema):
     text = schema_to_json(movie_schema)
     assert schema_from_json(text) == movie_schema
@@ -203,11 +203,3 @@ def test_schema_json_rejects_invalid():
 def test_schema_json_names_a_malformed_document(doc, error):
     with pytest.raises(ValueError, match=error):
         schema_from_json(json.dumps(doc))
-
-
-def test_cardinality_ordering():
-    assert Cardinality.ONE < Cardinality.MANY
-    assert sorted([Cardinality.MANY, Cardinality.ONE]) == [
-        Cardinality.ONE,
-        Cardinality.MANY,
-    ]

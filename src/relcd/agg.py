@@ -331,16 +331,22 @@ def orient(agg_set: AggSet, dependency: RelationalDependency, rule: str) -> bool
     return True
 
 
-def unshielded_triples(agg: Agg):
+def unshielded_triples(agg: Agg, canonical: bool = False):
     """(x, y, z) ids with x-y and y-z adjacent but x, z non-adjacent.
 
     Emitted in canonical order: middles ascending, then endpoint pairs
-    ascending with x < z.
+    ascending with x < z. With ``canonical``, only the triples with a base
+    endpoint, one of the perspective's own attributes: ``variable_key``
+    sorts singleton paths first, so those hold the lowest ids, and since
+    x < z a triple has one exactly when x does.
     """
     adjacency = agg.adjacency
+    ends = -1
+    if canonical:
+        ends = (1 << sum(len(v.path.items) == 1 for v in agg.nodes)) - 1
     out = []
     for y, nbrs in enumerate(adjacency):
-        for x in bits(nbrs):
+        for x in bits(nbrs & ends):
             for z in bits(nbrs & ~adjacency[x] & -(2 << x)):  # ids above x
                 out.append((x, y, z))
     return out

@@ -80,7 +80,15 @@ class OracleCI:
     Both verdicts are exact. The ids of another table than the graph's (an
     oracle at other hops than the learner's) are translated through the
     graph's index on each query.
+
+    ``exact`` tells the learner that no verdict is wrong, so it orients
+    from the unshielded triples with a base endpoint only (``rcd``'s
+    ``_triple_pass``), which learn what every triple learns at the default
+    depth. A backend without it, such as ``RegressionCI``, is asked of every
+    triple: on data the restriction changes the learned pattern.
     """
+
+    exact = True
 
     def __init__(self, model: RelationalModel, hops: int = 8):
         if hops < 0:

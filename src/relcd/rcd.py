@@ -6,8 +6,13 @@ once per (schema, hop threshold) and shared by a vote's runs. Phase II lifts
 the survivors into per-perspective graphs and orients them. Collider
 detection and bivariate orientation across MANY-cardinality paths are one
 test on lifted unshielded triples, run as two passes that split the triples
-by whether the endpoints share an attribute class. The non-collider /
-cycle-avoidance / double-parent propagation rules then run to a fixpoint.
+by whether the endpoints share an attribute class. A backend that declares
+``exact`` (the oracle) is asked only of the triples with a base endpoint,
+an attribute of the perspective's own item class: at the default depth
+those orient what every triple does. On data that restriction changes the
+learned pattern, so every other backend is asked of every triple. The
+non-collider / cycle-avoidance / double-parent propagation rules then run
+to a fixpoint.
 Each orientation is registered once and directs its edges in every
 perspective's graph. A run returns the pattern, its CI-test counts per
 label, the rule that oriented each pair and the conflicts it refused.
@@ -15,7 +20,7 @@ label, the rule that oriented each pair and the conflicts it refused.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -242,6 +247,15 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
     perspective's own attribute across a MANY reverse path, is the special
     case where one endpoint is the base variable.
 
+    A backend with ``exact`` set (``OracleCI``) is asked only of the triples
+    whose x is a base variable, one of the perspective's own attributes, as
+    RCD-Light orients from tests that involve canonical variables (Lee &
+    Honavar, AAAI 2016). With exact verdicts at the default depth, that
+    learns the pattern every triple learns from about a fifteenth of the
+    collider-detection queries. On data the verdicts can be wrong, and the
+    restriction moves the pattern (on data-vote, oriented precision falls
+    and recall rises), so any other backend is still asked of every triple.
+
     Pairs absent from the ``sepsets`` record are searched afresh as in PC:
     first among subsets of x's current neighbors, then, if none separates,
     among subsets of z's. The result, an id mask or None, is recorded, so a
@@ -249,12 +263,13 @@ def _triple_pass(agg_set, sepsets, ci_backend, config, stats, rng, *, rbo: bool)
     neither reads a failure the other recorded.
     """
     rule, label = ("RBO", "phase2_rbo") if rbo else ("CD", "phase2_cd")
+    canonical = getattr(ci_backend, "exact", False)
     perspectives = agg_set.perspectives()
     if rng is not None:
         rng.shuffle(perspectives)
     for perspective in perspectives:
         agg = agg_set.aggs[perspective]
-        triples = unshielded_triples(agg)
+        triples = unshielded_triples(agg, canonical)
         if rng is not None:
             rng.shuffle(triples)
         for x, y, z in triples:
@@ -385,7 +400,8 @@ def majority_vote(
     Each run re-learns under a derived seed with randomized iteration
     orders. An edge survives when present in at least ``threshold`` of the
     runs; it is directed when a single direction reaches the threshold
-    among the runs that kept it.
+    among the runs that kept it, and credited to the rule named most often
+    by the runs that oriented it that way (ties to the first name).
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -393,8 +409,8 @@ def majority_vote(
         raise ValueError("threshold must lie in (0, 1]")
     seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=runs)
     presence: Counter = Counter()
-    direction: Counter = Counter()
-    rule_votes: dict[RelationalDependency, Counter] = {}
+    # oriented dependency -> the rules of the runs that oriented it so
+    rule_votes: defaultdict[RelationalDependency, Counter] = defaultdict(Counter)
     stats: Counter = Counter()
     conflicts: list[str] = []
     for run_seed in seeds:
@@ -407,8 +423,7 @@ def majority_vote(
         for pair, dep in pattern.orientation.items():
             presence[pair] += 1
             if dep is not None:
-                direction[dep] += 1
-                rule_votes.setdefault(pair, Counter())[pattern.attribution[pair]] += 1
+                rule_votes[dep][pattern.attribution[pair]] += 1
     eps = 1e-9
     orientation: dict[RelationalDependency, RelationalDependency | None] = {}
     attribution: dict[RelationalDependency, str] = {}
@@ -417,13 +432,13 @@ def majority_vote(
             continue
         rev = reverse_dependency(pair)
         winners = [
-            d for d in (pair, rev) if direction.get(d, 0) / count + eps >= threshold
+            d for d in (pair, rev) if rule_votes[d].total() / count + eps >= threshold
         ]
         orientation[pair] = None
         if len(winners) == 1:
             orientation[pair] = winners[0]
             attribution[pair] = sorted(
-                rule_votes[pair].items(), key=lambda kv: (-kv[1], kv[0])
+                rule_votes[winners[0]].items(), key=lambda kv: (-kv[1], kv[0])
             )[0][0]
     return LearnedPattern(
         schema=schema,

@@ -11,8 +11,11 @@ there.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from relcd import rcd
 from relcd.ci import OracleCI, RegressionCI
+from relcd.harness import generate_case
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -31,16 +34,24 @@ UNUSED = {
 }
 
 
-def test_tracer_counts_every_query_of_an_oracle_learn(movie_truth):
+def test_tracer_counts_every_query_of_an_oracle_learn():
+    # oracle-grid's case (4, 10, 0): an exact backend asks 24 collider
+    # queries of it, a backend that is not exact 247
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(4, 10, 0))
+    schema, truth = generate_case(4, 10, rcd.LearnConfig().hop_threshold, seq)
     tracer = _tracer()
     tracer.install_program()
     try:
-        backend = tracer.backend(OracleCI(movie_truth, hops=8))
-        pattern = rcd.rcd_learn(movie_truth.schema, backend, rcd.LearnConfig())
+        backend = tracer.backend(OracleCI(truth, hops=8))
+        pattern = rcd.rcd_learn(schema, backend, rcd.LearnConfig())
     finally:
         tracer.uninstall()
     assert tracer.absent == UNUSED
     assert tracer.stats["ci.independent"]["calls"] == pattern.stats.total() > 0
+    # the proxy forwards OracleCI.exact, so a traced learn asks what an
+    # untraced one asks, and its per-layer counts describe the same program
+    untraced = rcd.rcd_learn(schema, OracleCI(truth, hops=8), rcd.LearnConfig())
+    assert pattern.stats == untraced.stats
     assert tracer.stats["ci.find_sepset"]["calls"] > 0
     # the oracle lifts through ci.build_agg, the learner through rcd.build_all
     assert tracer.stats["ci.oracle.build_agg"]["calls"] > 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from itertools import count
 
 import numpy as np
@@ -310,18 +311,39 @@ def _phase2_searches(run) -> dict[tuple, list[tuple]]:
     return searches
 
 
+class EveryTripleCI(CountingCI):
+    """An exact oracle that does not declare ``exact``: the learner then
+    orients from every unshielded triple, the path the data backend takes."""
+
+
 @pytest.mark.parametrize("rbo_order", ["rbo_after_cd", "rbo_first", "rbo_last"])
 def test_phase2_searches_each_pair_at_most_once_per_endpoint(monkeypatch, rbo_order):
-    # grid case (3, 15, 0) at seed 0: some pairs have no separating set,
-    # and some of those close more than one unshielded triple
+    # grid case (3, 15, 0) at seed 0, on every triple: some pairs have no
+    # separating set, and some of those close more than one unshielded triple
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 15, 0))
+    config = LearnConfig(rbo_order=rbo_order)
+    schema, truth = generate_case(3, 15, config.hop_threshold, seq)
+    runs = _record_searches(monkeypatch)
+    rcd.rcd_learn(schema, EveryTripleCI(OracleCI(truth, hops=8)), config)
+    searches = _phase2_searches(runs[0])
+    assert {len(found) for found in searches.values()} == {1, 2}
+    assert any(found[-1][2] is None for found in searches.values())
+
+
+@pytest.mark.parametrize("rbo_order", ["rbo_after_cd", "rbo_first", "rbo_last"])
+def test_exact_backend_searches_only_pairs_with_a_base_endpoint(monkeypatch, rbo_order):
+    # the same case on the exact oracle: each pair is still searched at most
+    # once per endpoint, and only from triples whose x is a base variable
     seq = np.random.SeedSequence(entropy=0, spawn_key=(3, 15, 0))
     config = LearnConfig(rbo_order=rbo_order)
     schema, truth = generate_case(3, 15, config.hop_threshold, seq)
     runs = _record_searches(monkeypatch)
     rcd.rcd_learn(schema, OracleCI(truth, hops=8), config)
     searches = _phase2_searches(runs[0])
-    assert {len(found) for found in searches.values()} == {1, 2}
-    assert any(found[-1][2] is None for found in searches.values())
+    assert searches
+    for perspective, x, _ in searches:
+        table = node_table(schema, perspective, 2 * config.hop_threshold)
+        assert len(table.nodes[x].path.items) == 1
 
 
 def test_phase2_searches_each_pair_at_most_once_per_endpoint_in_a_vote(monkeypatch):
@@ -446,6 +468,26 @@ def test_majority_vote_threshold_semantics():
     assert run_vote(0.5) == {stable, flaky}
 
 
+def test_majority_vote_credits_the_winning_directions_rule(monkeypatch):
+    # 7 runs orient X -> Y by four rules, 3 orient Y -> X by RBO: the vote
+    # directs X -> Y, and credits the rule most of those 7 runs named
+    schema = single_entity_schema("X", "Y")
+    forward = dep(["E1"], "X", "E1", "Y")
+    pair = canonical_pair(forward)
+    backward = reverse_dependency(forward)
+    runs = [(forward, rule) for rule in ("CD", "CD", "KNC", "KNC", "CA", "CA", "MR3")]
+    runs += [(backward, "RBO")] * 3
+    patterns = iter(
+        rcd.LearnedPattern(schema, {pair: d}, Counter(), {pair: rule}, ())
+        for d, rule in runs
+    )
+    monkeypatch.setattr(rcd, "rcd_learn", lambda *args: next(patterns))
+    vote = majority_vote(schema, None, LearnConfig(), runs=len(runs))
+    assert vote.orientation == {pair: forward}
+    # CA, CD and KNC tie at 2 runs; ties go to the first name
+    assert vote.attribution == {pair: "CA"}
+
+
 @pytest.mark.parametrize(
     ("kwargs", "error"),
     [({"runs": 0}, "runs must be >= 1"), ({"threshold": 0}, r"threshold must lie in \(0, 1\]")],
@@ -540,14 +582,14 @@ def test_phase1_asks_by_the_tables_node_table_holds():
 # (entities, deps, trial): the CI tests per label, then the first 16 hex
 # digits of the SHA-256 of the whole dict (dependencies, rules, conflicts)
 GOLDEN_PATTERNS = [
-    ((3, 10, 0), {"phase1": 503, "phase2_cd": 3274, "phase2_rbo": 24}, "d2c4931563358c0f"),
-    ((3, 10, 1), {"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46"),
-    ((3, 15, 0), {"phase1": 3049, "phase2_cd": 9085, "phase2_rbo": 27}, "026e31f89bbfaeb3"),
-    ((3, 15, 1), {"phase1": 1078, "phase2_cd": 869, "phase2_rbo": 30}, "1a40859797bb866a"),
-    ((4, 10, 0), {"phase1": 154, "phase2_cd": 247, "phase2_rbo": 4}, "ea346c319b1ad952"),
-    ((4, 10, 1), {"phase1": 315, "phase2_cd": 780, "phase2_rbo": 3}, "db105b6aabf92893"),
-    ((4, 15, 0), {"phase1": 521, "phase2_cd": 952, "phase2_rbo": 4}, "65a3c0f542b5fe08"),
-    ((4, 15, 1), {"phase1": 947, "phase2_cd": 6878, "phase2_rbo": 22}, "05486c8ffa1af155"),
+    ((3, 10, 0), {"phase1": 503, "phase2_cd": 225, "phase2_rbo": 20}, "926465009922ca61"),
+    ((3, 10, 1), {"phase1": 407, "phase2_cd": 59, "phase2_rbo": 8}, "bcf1341c4058178a"),
+    ((3, 15, 0), {"phase1": 3049, "phase2_cd": 775, "phase2_rbo": 60}, "63b7b94760ac920e"),
+    ((3, 15, 1), {"phase1": 1078, "phase2_cd": 136, "phase2_rbo": 30}, "768a7643193fea58"),
+    ((4, 10, 0), {"phase1": 154, "phase2_cd": 24, "phase2_rbo": 4}, "3be07e3930a406ff"),
+    ((4, 10, 1), {"phase1": 315, "phase2_cd": 29, "phase2_rbo": 4}, "1eb1595726e3dd26"),
+    ((4, 15, 0), {"phase1": 521, "phase2_cd": 109, "phase2_rbo": 4}, "9845510897aaa7dd"),
+    ((4, 15, 1), {"phase1": 947, "phase2_cd": 229, "phase2_rbo": 22}, "7350a51f05ee5bd9"),
 ]
 
 
@@ -577,22 +619,22 @@ OTHER_HOPS = [
     ((3, 10, 0), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1, E1].X1"),
     ((3, 10, 0), 6,
      "variable outside oracle node set at 6 hops: [E1, R1, E2, R1, E1, R1, E2, R1].X10"),
-    ((3, 10, 0), 10, ({"phase1": 503, "phase2_cd": 4230, "phase2_rbo": 24}, "84ab2d30f797674b")),
-    ((3, 10, 0), 12, ({"phase1": 503, "phase2_cd": 4857, "phase2_rbo": 24}, "17e3e814ef74aff8")),
+    ((3, 10, 0), 10, ({"phase1": 503, "phase2_cd": 225, "phase2_rbo": 20}, "926465009922ca61")),
+    ((3, 10, 0), 12, ({"phase1": 503, "phase2_cd": 277, "phase2_rbo": 20}, "54f4b2c72d15bedc")),
     ((3, 10, 1), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1].X5"),
-    ((3, 10, 1), 6, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
-    ((3, 10, 1), 10, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
-    ((3, 10, 1), 12, ({"phase1": 407, "phase2_cd": 410, "phase2_rbo": 8}, "63e3bc60b3acbe46")),
+    ((3, 10, 1), 6, ({"phase1": 407, "phase2_cd": 59, "phase2_rbo": 8}, "bcf1341c4058178a")),
+    ((3, 10, 1), 10, ({"phase1": 407, "phase2_cd": 59, "phase2_rbo": 8}, "bcf1341c4058178a")),
+    ((3, 10, 1), 12, ({"phase1": 407, "phase2_cd": 59, "phase2_rbo": 8}, "bcf1341c4058178a")),
     ((4, 10, 1), 2, "variable outside oracle node set at 2 hops: [E1, R1, E2, R1].X7"),
     ((4, 10, 1), 6,
-     "variable outside oracle node set at 6 hops: [E1, R1, E2, R1, E1, R3, E4, R3].X12"),
-    ((4, 10, 1), 10, ({"phase1": 315, "phase2_cd": 980, "phase2_rbo": 3}, "09ebcb2101351704")),
-    ((4, 10, 1), 12, ({"phase1": 315, "phase2_cd": 1054, "phase2_rbo": 3}, "fa28705143e5972e")),
+     "variable outside oracle node set at 6 hops: [E2, R1, E1, R1, E2, R1, E1, R3].X10"),
+    ((4, 10, 1), 10, ({"phase1": 315, "phase2_cd": 46, "phase2_rbo": 4}, "dbcc59ce75335463")),
+    ((4, 10, 1), 12, ({"phase1": 315, "phase2_cd": 46, "phase2_rbo": 4}, "dbcc59ce75335463")),
     ((4, 15, 1), 2, "variable outside oracle node set at 2 hops: [E1, R2, E3, R2, E1].X1"),
     ((4, 15, 1), 6,
-     "variable outside oracle node set at 6 hops: [E1, R2, E3, R2, E1, R2, E3, R2].X13"),
-    ((4, 15, 1), 10, ({"phase1": 947, "phase2_cd": 7415, "phase2_rbo": 22}, "1ef9df15ccaa5ba7")),
-    ((4, 15, 1), 12, ({"phase1": 947, "phase2_cd": 7589, "phase2_rbo": 22}, "c7a8a39eea74d78b")),
+     "variable outside oracle node set at 6 hops: [E3, R3, E4, R3, E3, R2, E1, R1].X10"),
+    ((4, 15, 1), 10, ({"phase1": 947, "phase2_cd": 229, "phase2_rbo": 22}, "7350a51f05ee5bd9")),
+    ((4, 15, 1), 12, ({"phase1": 947, "phase2_cd": 229, "phase2_rbo": 22}, "7350a51f05ee5bd9")),
 ]
 
 
@@ -617,6 +659,49 @@ def test_oracle_at_other_hops_is_pinned(case, hops, expected):
     assert doc["stats"]["ci_tests"] == ci_tests
     text = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+# Behind EveryTripleCI the learner orients from every unshielded triple; on
+# OracleCI itself, which is exact, only from those with a base endpoint. Both
+# must learn the same pattern, with fewer collider queries on the exact path:
+# the pinned grid cases under every RBO order, OTHER_HOPS's learns at oracle
+# hops 10 and 12, and a slice of the grid at hop thresholds 2 and 3, as
+# (entities, deps, trial, hop threshold, oracle hops, RBO order)
+EQUIVALENCE = (
+    [
+        (*case, 4, 8, order)
+        for case, _, _ in GOLDEN_PATTERNS
+        for order in ("rbo_after_cd", "rbo_first", "rbo_last")
+    ]
+    + [
+        (*case, 4, hops, "rbo_after_cd")
+        for case, hops, expected in OTHER_HOPS
+        if hops in (10, 12) and not isinstance(expected, str)
+    ]
+    + [
+        (entities, deps, trial, hop_threshold, 8, "rbo_after_cd")
+        for hop_threshold in (2, 3)
+        for entities, deps in ((3, 10), (3, 15), (4, 10), (4, 15))
+        for trial in range(3)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "case", EQUIVALENCE, ids=["-".join(map(str, case)) for case in EQUIVALENCE]
+)
+def test_exact_backend_learns_what_every_triple_learns(case):
+    entities, deps, trial, hop_threshold, hops, rbo_order = case
+    seq = np.random.SeedSequence(entropy=0, spawn_key=(entities, deps, trial))
+    config = LearnConfig(hop_threshold=hop_threshold, rbo_order=rbo_order)
+    schema, truth = generate_case(entities, deps, hop_threshold, seq)
+    oracle = OracleCI(truth, hops=hops)
+    exact = pattern_to_dict(rcd_learn(schema, oracle, config))
+    full = pattern_to_dict(rcd_learn(schema, EveryTripleCI(oracle), config))
+    assert exact["dependencies"] == full["dependencies"]
+    assert exact["conflicts"] == full["conflicts"]
+    cd = [doc["stats"]["ci_tests"]["phase2_cd"] for doc in (exact, full)]
+    assert cd[0] < cd[1]
 
 
 def pinned_vote_backend():

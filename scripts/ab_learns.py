@@ -39,7 +39,11 @@ does not move; it prints each vote's outcomes at the end.
 
 It prints each pass's time per tree and their ratio (base / new; above 1
 means the new tree is faster), then the median ratio. It also prints each
-tree's ``agg.lift`` cache hits and misses within each pass. On oracle-grid
+tree's ``agg.lift`` cache hits and misses within each pass, and the
+seconds the pass spent building per-schema structure: the cache misses of
+``agg.node_table``, ``agg.lift`` and ``rcd.learn_plan``, each without the
+builders it calls, timed by wrappers at the module globals the program
+calls them through. On oracle-grid
 it prints each tree's Bayes-ball walks within each pass, counted by
 wrapping ``Agg.reach``. The wrappers cost each call the same small time in
 both trees, so the walk counter slightly favours the tree that walks less.
@@ -58,13 +62,22 @@ import importlib.util
 import statistics
 import sys
 import tempfile
+import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # the program call whose pattern each workload's operation scores
 LEARNS = {"oracle-grid": "rcd_learn", "data-vote": "majority_vote"}
+# the cached builders of per-schema structure, at every global they are called by
+STRUCTURE = (
+    ("relcd.agg", "node_table"),
+    ("relcd.rcd", "node_table"),
+    ("relcd.agg", "lift"),
+    ("relcd.rcd", "learn_plan"),
+)
 
 
 def load_tree(src: Path, name: str) -> dict:
@@ -155,6 +168,37 @@ def cache_counts(tree) -> tuple[int, int]:
     return tree["relcd.agg"].lift.cache_info()[:2]
 
 
+def time_structure(tree) -> Counter:
+    """Time the cache misses of the tree's per-schema builders in the
+    returned counter, by name: each miss's seconds less those of the
+    builders it called (so a lift that builds its node table counts that
+    table's time under ``node_table`` only)."""
+    seconds: Counter = Counter()
+    nested: list[float] = []  # per open call, the seconds of builders it called
+
+    def timed(fn, name):
+        def call(*args):
+            misses = fn.cache_info().misses
+            nested.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent = time.perf_counter() - start
+                inner = nested.pop()
+                if nested:
+                    nested[-1] += spent
+                if fn.cache_info().misses > misses:
+                    seconds[name] += spent - inner
+
+        call.cache_info = fn.cache_info  # cache_counts reads it
+        return call
+
+    for module, name in STRUCTURE:
+        setattr(tree[module], name, timed(getattr(tree[module], name), name))
+    return seconds
+
+
 def count_walks(tree) -> list[int]:
     """Count calls of the tree's ``Agg.reach`` in the returned cell."""
     agg = tree["relcd.agg"].Agg
@@ -210,6 +254,7 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
     patterns = [keep_patterns(tree, LEARNS[args.workload]) for tree in trees]
     oracle = args.workload == "oracle-grid"
     walks = [count_walks(tree) for tree in trees]
+    structure = [time_structure(tree) for tree in trees]
     items = workloads[0].unit_ops
     ratios = []
     outcomes = []  # each item's outcomes, from the first pass
@@ -217,6 +262,8 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
         seconds = [0.0, 0.0]
         before = [cache_counts(tree) for tree in trees]
         walks_before = [w[0] for w in walks]
+        for built in structure:
+            built.clear()
         for k in range(items):
             order = (0, 1) if (k + p) % 2 == 0 else (1, 0)
             outputs = [None, None]
@@ -241,12 +288,17 @@ def run_passes(args, trees, workloads, workdir: Path) -> int:
             f"pass {p}: base {seconds[0]:.3f} s, new {seconds[1]:.3f} s, "
             f"ratio {ratios[-1]:.3f}"
         )
-        for label, tree, start, walked, start_walks in zip(
-            ("base", "new"), trees, before, walks, walks_before
+        for label, tree, start, walked, start_walks, built in zip(
+            ("base", "new"), trees, before, walks, walks_before, structure
         ):
             counts = [f"{walked[0] - start_walks} walks"] if oracle else []
             hits, misses = (a - b for a, b in zip(cache_counts(tree), start))
             counts.append(f"lift cache {hits} hits, {misses} misses")
+            counts.append(
+                f"structure {built.total():.3f} s (" + ", ".join(
+                    f"{name} {built[name]:.3f}" for name in ("node_table", "lift", "learn_plan")
+                ) + ")"
+            )
             line += f"; {label} " + ", ".join(counts)
         print(line, flush=True)
     print(

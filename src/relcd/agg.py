@@ -6,17 +6,22 @@ once per (schema, perspective, hops): adjacency, edges, triples, the
 orientation rules and CI queries work on those ids, so sorting ids sorts
 variables canonically. A set of ids is an ``int`` bitmask throughout:
 adjacency, search pools, conditioning and separating sets, directions.
+The table interns the paths under the variables too, as a tree of path
+ids (``paths.PathTree``: each path's id by its prefix's id and its last
+item), with each (path id, attribute) mapped to its node id. Lifting
+composes paths by walking that tree, and the learner's plan finds its
+rows in it, so neither looks a path or a variable up by value.
 The graphs are lifted from canonical dependency pairs (a dependency and
 its reverse are one pair), which ``build_all`` validates and
 canonicalizes once and a model carries (``RelationalModel.pairs``);
 ``build_agg`` lifts pairs unchecked. A pair can support many edges within
 and across these graphs: every edge carries the pairs that produced it,
-and each graph knows the edges of each pair. This structure, a
-``Lifting``, is cached by ``lift``, so the oracle and the learner share
-it, and so do a vote's runs. A registry shared by the whole set maps each
-pair to its current orientation; orienting a pair writes it there once and
-directs every supporting edge in every graph of the set at once, as bits
-in the per-run ``parents`` and ``children`` id bitmasks.
+and each graph knows the edges of each pair, from cause to effect. This
+structure, a ``Lifting``, is cached by ``lift``, so the oracle and the
+learner share it, and so do a vote's runs. A registry shared by the whole
+set maps each pair to its current orientation; orienting a pair writes it
+there once and directs every supporting edge in every graph of the set at
+once, as bits in the per-run ``parents`` and ``children`` id bitmasks.
 
 A fully directed graph answers d-separation itself, by one Bayes-ball
 kernel over those masks: ``Agg.reach`` walks from a node and returns every
@@ -27,8 +32,8 @@ walk's result, so one walk answers many queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .model import (
@@ -39,7 +44,7 @@ from .model import (
     validate_dependency,
     variable_key,
 )
-from .paths import compositions, enumerate_paths
+from .paths import PathTree, RelationalPath, path_tree
 from .schema import Schema
 
 
@@ -48,34 +53,50 @@ class NodeTable:
     """One perspective's variables, interned as integer ids.
 
     ``nodes`` holds the variables in ``variable_key`` order; a variable's id
-    is its position there, and ``index`` maps it back. A set of ids is an
-    ``int`` bitmask. ``node_table`` shares tables, so none changes once made.
+    is its position there, and ``index`` maps it back, built on first use,
+    since queries name variables by id. A set of ids is an ``int`` bitmask.
+    A table from ``node_table`` also holds the paths under its variables,
+    interned as path ids (``tree``), and ``node_ids[k]`` maps each attribute
+    of path k's last class to its node id; a table of a few query variables
+    (``NodeTable.of``) holds neither. ``node_table`` shares tables, so none
+    changes once made.
     """
 
     perspective: str
     nodes: tuple[RelationalVariable, ...]
-    index: dict[RelationalVariable, int]
+    tree: PathTree | None = field(default=None, kw_only=True)
+    node_ids: tuple[dict[str, int], ...] = field(default=(), kw_only=True)
+
+    @cached_property
+    def index(self) -> dict[RelationalVariable, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
 
     @classmethod
     def of(cls, perspective: str, variables) -> NodeTable:
-        nodes = tuple(sorted(set(variables), key=variable_key))
-        return cls(perspective, nodes, {v: i for i, v in enumerate(nodes)})
+        return cls(perspective, tuple(sorted(set(variables), key=variable_key)))
 
 
 @lru_cache(maxsize=64)
 def node_table(schema: Schema, perspective: str, hops: int) -> NodeTable:
     """The attribute-bearing variables within ``hops`` of a perspective.
 
-    Cached: a learner's phases and an oracle at the same hops share ids.
+    Path ids come in (length, items) order and each path's attributes in
+    sorted order, so numbering the variables path by path numbers them in
+    ``variable_key`` order. Cached: a learner's phases and an oracle at the
+    same hops share ids.
     """
-    return NodeTable.of(
-        perspective,
-        (
-            RelationalVariable(p, attr)
-            for p in enumerate_paths(schema, perspective, hops)
-            for attr in schema.attributes_of(p.last)
-        ),
-    )
+    tree = path_tree(schema, perspective, hops)
+    attributes = {name: sorted(schema.attributes_of(name)) for name in schema.item_classes}
+    nodes: list[RelationalVariable] = []
+    node_ids = []
+    for items in tree.items:
+        path = RelationalPath(items)
+        ids = {}
+        for attr in attributes[items[-1]]:
+            ids[attr] = len(nodes)
+            nodes.append(RelationalVariable(path, attr))
+        node_ids.append(ids)
+    return NodeTable(perspective, tuple(nodes), tree=tree, node_ids=tuple(node_ids))
 
 
 def bits(mask: int) -> list[int]:
@@ -94,16 +115,17 @@ class Lifting(NodeTable):
 
     ``adjacency[i]`` is the id mask of the nodes adjacent to node ``i``, and
     ``edge_pairs`` maps each edge ``(i, j)``, ``i < j``, to the canonical
-    dependency pairs that support it, in text order; ``pair_edges`` maps
-    each pair back to its edges. Distinct pairs can support one edge when
-    two cause paths connect the same attribute classes within the hop
-    budget; they always relate the same attribute classes, so direction
-    stays well defined. ``lift`` shares liftings, so all of it is read-only.
+    dependency pairs that support it, in text order; ``pair_arcs`` maps
+    each pair back to its edges, each as (cause id, effect id) under the
+    pair's own direction. Distinct pairs can support one edge when two
+    cause paths connect the same attribute classes within the hop budget;
+    they always relate the same attribute classes, so direction stays well
+    defined. ``lift`` shares liftings, so all of it is read-only.
     """
 
     adjacency: tuple[int, ...]
     edge_pairs: MappingProxyType[tuple[int, int], tuple[RelationalDependency, ...]]
-    pair_edges: MappingProxyType[RelationalDependency, tuple[tuple[int, int], ...]]
+    pair_arcs: MappingProxyType[RelationalDependency, tuple[tuple[int, int], ...]]
 
     def pairs_of(self, i: int, j: int) -> tuple[RelationalDependency, ...]:
         """The dependency pairs supporting edge i - j, in either order."""
@@ -125,19 +147,19 @@ class Agg(Lifting):
     def direct(
         self, pair: RelationalDependency, oriented: RelationalDependency
     ) -> None:
-        """Direct every edge of ``pair`` as ``oriented`` (one of its directions).
+        """Direct every edge of ``pair`` as ``oriented`` (the pair or its reverse).
 
         All pairs supporting an edge relate the same two attribute classes,
         so the first oriented one fixes the edge's direction; ``orient``
         refuses every later pair that would oppose it.
         """
-        cause = oriented.cause
-        for src, dst in self.pair_edges.get(pair, ()):
-            node = self.nodes[src]
-            if node.attribute != cause.attribute or node.path.last != cause.path.last:
-                src, dst = dst, src
-            self.children[src] |= 1 << dst
-            self.parents[dst] |= 1 << src
+        parents, children = self.parents, self.children
+        arcs = self.pair_arcs.get(pair, ())
+        if oriented != pair:
+            arcs = [(v, u) for u, v in arcs]
+        for src, dst in arcs:
+            children[src] |= 1 << dst
+            parents[dst] |= 1 << src
 
     def edge_direction(self, i: int, j: int) -> tuple[int, int] | None:
         """(source, target) ids for a directed edge, None while undirected."""
@@ -227,50 +249,69 @@ def lift(schema: Schema, perspective: str, node_hops: int, pairs: frozenset) -> 
     """Lift canonical dependency pairs into the graph seen from one perspective.
 
     Nodes are the attribute-bearing relational variables within the hop
-    bound. For a pair with effect class C, every node whose path ends at C
-    gains an edge from each valid composition of its path with the cause
-    path that stays within the bound, found by looking each candidate
-    (``paths.compositions``) up among the nodes: they hold every valid path
-    in bound. A node composes to another exactly when that one composes
-    back along the reversed path, so a pair's reverse would add no edge.
-    Cached (64 entries) as ``node_table`` is.
+    bound. For a pair with effect class C, every node whose path q ends at C
+    gains an edge from each valid composition of q with the cause path b
+    that stays within the bound. A composition pivots on m >= 1 items: the
+    last m items of q, reversed, are the first m of b, and the composed path
+    is q's prefix of all but its last m - 1 items extended by b's items
+    after the m-th. So each composition walks the table's path tree from
+    one of q's prefixes, longest pivot first (shortest path first), and is
+    valid and in bound exactly when the walk stays in the tree. A node
+    composes to another exactly when that one composes back along the
+    reversed path, so a pair's reverse would add no edge. Cached (64
+    entries) as ``node_table`` is.
     """
     table = node_table(schema, perspective, node_hops)
-    nodes = table.nodes
-    by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
-    # the nodes of each attribute class, as (path items, id)
-    by_class: dict[tuple[str, str], list[tuple[tuple[str, ...], int]]] = {}
-    for (items, attr), i in by_key.items():
-        by_class.setdefault((items[-1], attr), []).append((items, i))
+    tree, node_ids = table.tree, table.node_ids
+    paths, prefix, walk = tree.items, tree.prefix, tree.walk
+    # the path ids ending at each item class, ascending
+    ending: dict[str, list[int]] = {}
+    for k, items in enumerate(paths):
+        ending.setdefault(items[-1], []).append(k)
     supports: dict[tuple[int, int], list[RelationalDependency]] = {}
-    edges_of: dict[RelationalDependency, list[tuple[int, int]]] = {}
-    adjacency = [0] * len(nodes)
+    arcs_of: dict[RelationalDependency, tuple[tuple[int, int], ...]] = {}
+    adjacency = [0] * len(table.nodes)
     for pair in sorted(pairs, key=str):  # so each edge's pairs come sorted
-        effect = (pair.effect.path.last, pair.effect.attribute)
-        for q, v in by_class.get(effect, ()):
-            for items in compositions(q, pair.cause.path.items):
-                u = by_key.get((items, pair.cause.attribute))
-                if u is not None:
-                    edge = (min(u, v), max(u, v))
-                    supports.setdefault(edge, []).append(pair)
-                    edges_of.setdefault(pair, []).append(edge)
-                    adjacency[u] |= 1 << v
-                    adjacency[v] |= 1 << u
+        b = pair.cause.path.items
+        if b[0] != pair.effect.path.last:
+            continue  # no pivot: the paths do not join
+        cause_attr, effect_attr = pair.cause.attribute, pair.effect.attribute
+        tails = [b[m:] for m in range(len(b) + 1)]  # what pivot m appends
+        arcs = []
+        for q in ending.get(b[0], ()):
+            v = node_ids[q].get(effect_attr)
+            if v is None:
+                continue
+            a = paths[q]
+            top = min(len(a), len(b))
+            pivots = [q]  # pivots[m - 1] is the prefix that pivot m extends
+            while len(pivots) < top and a[-1 - len(pivots)] == b[len(pivots)]:
+                pivots.append(prefix[pivots[-1]])
+            for m in range(len(pivots), 0, -1):
+                k = walk(pivots[m - 1], tails[m])
+                if k is not None:
+                    u = node_ids[k].get(cause_attr)
+                    if u is not None:
+                        supports.setdefault((u, v) if u < v else (v, u), []).append(pair)
+                        arcs.append((u, v))
+                        adjacency[u] |= 1 << v
+                        adjacency[v] |= 1 << u
+        if arcs:
+            arcs_of[pair] = tuple(arcs)
     return Lifting(
-        perspective=perspective,
-        nodes=nodes,
-        index=table.index,
+        **{f.name: getattr(table, f.name) for f in fields(table)},
         adjacency=tuple(adjacency),
         edge_pairs=MappingProxyType({k: tuple(p) for k, p in supports.items()}),
-        pair_edges=MappingProxyType({p: tuple(sorted(e)) for p, e in edges_of.items()}),
+        pair_arcs=MappingProxyType(arcs_of),
     )
 
 
 def build_agg(pairs, schema: Schema, perspective: str, node_hops: int) -> Agg:
     """The ``lift`` of canonical pairs, unchecked, with fresh direction bits."""
     lifted = lift(schema, perspective, node_hops, frozenset(pairs))
+    shared = {f.name: getattr(lifted, f.name) for f in fields(lifted)}
     n = len(lifted.nodes)
-    return Agg(**vars(lifted), parents=[0] * n, children=[0] * n)
+    return Agg(**shared, parents=[0] * n, children=[0] * n)
 
 
 def build_all(dependencies, schema: Schema, node_hops: int) -> AggSet:
@@ -341,9 +382,7 @@ def unshielded_triples(agg: Agg, canonical: bool = False):
     x < z a triple has one exactly when x does.
     """
     adjacency = agg.adjacency
-    ends = -1
-    if canonical:
-        ends = (1 << sum(len(v.path.items) == 1 for v in agg.nodes)) - 1
+    ends = (1 << len(agg.node_ids[0])) - 1 if canonical else -1
     out = []
     for y, nbrs in enumerate(adjacency):
         for x in bits(nbrs & ends):

@@ -3,7 +3,9 @@
 A relational path is an alternating sequence of entity and relationship
 class names tracing a connected walk through a schema. Paths anchor
 relational variables: the first item is the perspective, the last item is
-the class whose attributes the path can reach.
+the class whose attributes the path can reach. ``path_tree`` enumerates
+the valid paths from a perspective within a hop bound as a tree of
+integer path ids, which ``agg.node_table`` keeps and the lifting walks.
 """
 
 from __future__ import annotations
@@ -85,6 +87,83 @@ def reverse(p: RelationalPath) -> RelationalPath:
     return RelationalPath(tuple(reversed(p.items)))
 
 
+@dataclass(frozen=True)
+class PathTree:
+    """The valid paths from one perspective within a hop bound, as ids.
+
+    Path ids follow (length, items) order, so the perspective's own path is
+    id 0 and every path's prefix has a lower id. ``items[k]`` holds path k's
+    item tuple, ``prefix[k]`` the id of path k without its last item (-1 for
+    id 0), and ``step[k]`` maps each item that extends path k to a path of
+    the tree to that path's id. Every prefix of a valid path is valid, so a
+    tuple of items is a path of the tree exactly when walking ``step`` from
+    id 0 along its items never misses.
+    """
+
+    items: tuple[tuple[str, ...], ...]
+    prefix: tuple[int, ...]
+    step: tuple[dict[str, int], ...]
+
+    def walk(self, k: int, items) -> int | None:
+        """The id of path k extended by ``items``; None once it leaves the tree."""
+        step = self.step
+        for item in items:
+            k = step[k].get(item)
+            if k is None:
+                return None
+        return k
+
+
+def path_tree(schema: Schema, perspective: str, hop_threshold: int) -> PathTree:
+    """Every valid path from ``perspective`` with at most ``hop_threshold`` hops.
+
+    Grown breadth first: each path is extended, in id order, by its valid
+    next items in sorted order, so the ids come out in (length, items)
+    order.
+    """
+    if perspective not in schema.item_classes:
+        raise ValueError(f"unknown item class {perspective!r}")
+    if hop_threshold < 0:
+        raise ValueError("hop_threshold must be >= 0")
+    items: list[tuple[str, ...]] = [(perspective,)]
+    prefix = [-1]
+    step: list[dict[str, int]] = []
+    # (last item, the one before it or None) -> the items that may follow
+    follow: dict[tuple[str, str | None], list[str]] = {}
+    for k, path in enumerate(items):  # items grows while it is read
+        extend: dict[str, int] = {}
+        step.append(extend)
+        if len(path) > hop_threshold:
+            continue
+        key = (path[-1], path[-2] if len(path) > 1 else None)
+        names = follow.get(key)
+        if names is None:
+            names = follow[key] = _next_items(schema, *key)
+        for name in names:
+            extend[name] = len(items)
+            items.append(path + (name,))
+            prefix.append(k)
+    return PathTree(tuple(items), tuple(prefix), tuple(step))
+
+
+def _next_items(schema: Schema, last: str, back: str | None) -> list[str]:
+    """The items that may follow a path ending ``back, last``, sorted.
+
+    From an entity: each relationship it takes part in, but the one it came
+    from only when its cardinality there is MANY. From a relationship: the
+    entity on its other side, or either participant after a singleton path.
+    """
+    if schema.is_entity(last):
+        return sorted(
+            rel.name
+            for rel in schema.relationships
+            if last in rel.participants
+            and (rel.name != back or rel.card(last) is Cardinality.MANY)
+        )
+    rel = schema.item_classes[last]
+    return sorted(rel.participants) if back is None else [rel.other(back)]
+
+
 def enumerate_paths(
     schema: Schema, perspective: str, hop_threshold: int
 ) -> list[RelationalPath]:
@@ -92,49 +171,5 @@ def enumerate_paths(
 
     Includes the singleton path. Results are sorted by (length, items).
     """
-    if perspective not in schema.item_classes:
-        raise ValueError(f"unknown item class {perspective!r}")
-    if hop_threshold < 0:
-        raise ValueError("hop_threshold must be >= 0")
-    out: list[tuple[str, ...]] = []
-    stack: list[tuple[str, ...]] = [(perspective,)]
-    while stack:
-        items = stack.pop()
-        out.append(items)
-        if len(items) > hop_threshold:
-            continue
-        last = items[-1]
-        if schema.is_entity(last):
-            for rel in schema.relationships:
-                if last not in rel.participants:
-                    continue
-                if (
-                    len(items) >= 2
-                    and items[-2] == rel.name
-                    and rel.card(last) is not Cardinality.MANY
-                ):
-                    continue
-                stack.append(items + (rel.name,))
-        else:
-            rel = schema.item_classes[last]
-            if len(items) == 1:
-                stack.extend(items + (p,) for p in rel.participants)
-            else:
-                stack.append(items + (rel.other(items[-2]),))
-    return sorted(
-        (RelationalPath(items) for items in out), key=lambda p: (len(p.items), p.items)
-    )
-
-
-def compositions(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """Pivot compositions of two item tuples, shortest first, not validated.
-
-    For every pivot m >= 1 where the last m items of ``a`` reversed equal
-    the first m items of ``b``, a candidate drops those m items from ``a``
-    and the first m - 1 items from ``b``. The pivots that match are
-    m = 1..r for some r, and each gives a candidate of another length.
-    """
-    run = 0
-    while run < min(len(a), len(b)) and a[-1 - run] == b[run]:
-        run += 1
-    return [a[: len(a) - m] + b[m - 1 :] for m in range(run, 0, -1)]
+    tree = path_tree(schema, perspective, hop_threshold)
+    return [RelationalPath(items) for items in tree.items]

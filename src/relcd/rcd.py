@@ -29,7 +29,8 @@ import numpy as np
 
 from .agg import AggSet, bits, build_all, node_table, orient, unshielded_triples
 from .ci import find_sepset
-from .model import RelationalDependency, potential_dependencies, reverse_dependency
+from .model import RelationalDependency, reverse_dependency
+from .paths import RelationalPath
 from .schema import Schema
 
 RULES = ("CD", "RBO", "KNC", "CA", "MR3")
@@ -94,16 +95,16 @@ class LearnedPattern:
 class LearnPlan:
     """What phase I derives from a schema and hop threshold alone.
 
-    ``dependencies`` are the potential dependencies, in text order. Row i of
-    ``rows`` names dependency i by ids in its perspective's ``node_table`` at
-    twice the hop threshold: (perspective, cause id, effect id, reverse's
-    row). ``causes`` maps each (perspective, effect id) to the id mask of
-    the causes the rows give it. ``learn_plan`` shares plans, so all of it
-    is read-only; a plan holds no table, so ``node_table`` stays the one
-    owner of the tables that queries name.
+    Row i of ``rows`` names the i-th potential dependency in text order
+    (the order of ``model.potential_dependencies``) by ids in its
+    perspective's ``node_table`` at twice the hop threshold: (perspective,
+    cause id, effect id, reverse's row). ``causes`` maps each (perspective,
+    effect id) to the id mask of the causes the rows give it.
+    ``learn_plan`` shares plans, so all of it is read-only; a plan holds no
+    table and no variable, so ``node_table`` stays the one owner of the
+    tables that queries name, and of the variables a run returns.
     """
 
-    dependencies: tuple[RelationalDependency, ...]
     rows: tuple[tuple[str, int, int, int], ...]
     causes: MappingProxyType[tuple[str, int], int]
 
@@ -112,31 +113,49 @@ class LearnPlan:
 def learn_plan(schema: Schema, hop_threshold: int) -> LearnPlan:
     """The ``LearnPlan`` of a schema and hop threshold, built once.
 
-    A reverse row is found by the key (cause path items, cause attribute,
-    effect attribute): a tuple of strings, whose hashes strings cache, not a
-    nested dataclass, which hashes every level on every lookup. Only the
+    Rows are found by id in the tables' path trees. A cause path within the
+    hop threshold keeps its path id in its perspective's tree at twice the
+    threshold (ids follow (length, items) order), and (path id, attribute)
+    gives the cause's node id. The reverse dependency's cause path is the
+    reversed path, walked once per path in the tree of the class where the
+    path ends. The rows are sorted by their dependencies' texts, each built
+    from its path's text, made once per path. No variable or dependency is
+    built: phase I makes its survivors from the tables' variables. Only the
     last plan is kept: callers that learn one schema again do so back to
     back (a vote's runs), and a plan holds every potential dependency, so
     more plans would hold memory that no caller reads again.
     """
-    pds = tuple(potential_dependencies(schema, hop_threshold))
     hops = 2 * hop_threshold
-    index = {p: node_table(schema, p, hops).index for p in schema.item_classes}
-    position = {
-        (d.cause.path.items, d.cause.attribute, d.effect.attribute): i
-        for i, d in enumerate(pds)
-    }
-    rows = []
+    tables = {p: node_table(schema, p, hops) for p in schema.item_classes}
+    # (text, perspective, cause id, effect id, the reverse's perspective and ids)
+    keyed = []
+    for item, table in tables.items():
+        node_ids = table.node_ids
+        effects = [(attr, y, f" -> {table.nodes[y]}") for attr, y in node_ids[0].items()]
+        for k, items in enumerate(table.tree.items):
+            if len(items) > hop_threshold + 1:
+                break
+            last = items[-1]
+            reverse_ids = tables[last].node_ids
+            reverse_k = tables[last].tree.walk(0, items[-2::-1])
+            path_text = str(RelationalPath(items))
+            for cause_attr, x in node_ids[k].items():
+                head = f"{path_text}.{cause_attr}"
+                reverse_y = reverse_ids[0][cause_attr]
+                for effect_attr, y, tail in effects:
+                    if last == item and cause_attr == effect_attr:
+                        continue  # one attribute class
+                    keyed.append((
+                        head + tail, item, x, y,
+                        last, reverse_ids[reverse_k][effect_attr], reverse_y,
+                    ))
+    keyed.sort()
+    position = {(p, x, y): i for i, (_, p, x, y, *_) in enumerate(keyed)}
+    rows = tuple((p, x, y, position[(q, rx, ry)]) for _, p, x, y, q, rx, ry in keyed)
     causes: dict[tuple[str, int], int] = {}
-    for dep in pds:
-        cause, effect = dep.cause, dep.effect
-        items = cause.path.items
-        p = items[0]
-        x, y = index[p][cause], index[p][effect]
-        rev = position[(items[::-1], effect.attribute, cause.attribute)]
-        rows.append((p, x, y, rev))
+    for p, x, y, _ in rows:
         causes[(p, y)] = causes.get((p, y), 0) | 1 << x
-    return LearnPlan(pds, tuple(rows), MappingProxyType(causes))
+    return LearnPlan(rows, MappingProxyType(causes))
 
 
 def phase1(
@@ -159,7 +178,8 @@ def phase1(
     variables by id in the tables ``node_table`` holds at twice the hop
     threshold, looked up anew on every run: phase II lifts on them, and an
     oracle at those hops walks graphs that share their nodes, so it
-    translates no id. The survivors come back in text order.
+    translates no id. The survivors come back in text order, made of the
+    tables' variables.
     """
     sepsets: dict[tuple[str, int, int], int | None] = {}
     plan = learn_plan(schema, config.hop_threshold)
@@ -185,7 +205,12 @@ def phase1(
                 live[i] = live[rev] = False
                 for p, cause, effect, _ in (rows[i], rows[rev]):
                     causes[(p, effect)] &= ~(1 << cause)
-    return [dep for dep, alive in zip(plan.dependencies, live) if alive], sepsets
+    survivors = [
+        RelationalDependency(tables[p].nodes[x], tables[p].nodes[y])
+        for (p, x, y, _), alive in zip(rows, live)
+        if alive
+    ]
+    return survivors, sepsets
 
 
 def _orient_edge(agg_set: AggSet, agg, u: int, v: int, rule: str) -> bool:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -15,8 +16,9 @@ from relcd.model import (
     RelationalDependency,
     RelationalModel,
     RelationalVariable,
+    variable_key,
 )
-from relcd.paths import RelationalPath, compositions, enumerate_paths, is_valid
+from relcd.paths import RelationalPath, enumerate_paths, is_valid
 from relcd.rcd import LearnedPattern
 from relcd.schema import AttributeClass, Schema
 from relcd.skeleton import GroundGraph, Node, Skeleton
@@ -109,11 +111,69 @@ def is_acyclic(gg: GroundGraph) -> bool:
     return nx.is_directed_acyclic_graph(ground_digraph(gg))
 
 
+@_last_only
+def _acyclic_ground_digraph(gg: GroundGraph) -> nx.DiGraph:
+    """``ground_digraph``, checked acyclic once per ground graph."""
+    if not is_acyclic(gg):
+        raise ValueError("d-separation needs an acyclic ground graph")
+    return ground_digraph(gg)
+
+
 def dsep_ground(gg: GroundGraph, x: set[Node], y: set[Node], z: set[Node]) -> bool:
-    """Standard d-separation on the instantiated graph."""
+    """Standard d-separation on the instantiated graph, by Bayes-ball.
+
+    The ball starts at x as if it came from a child. A node outside z that
+    the ball reaches from a child passes it to its parents and children; one
+    it reaches from a parent passes it to its children, and also back to its
+    parents when it is z or an ancestor of z (an open collider). x and y are
+    d-separated given z when the ball reaches no node of y (Koller &
+    Friedman 2009, algorithm 3.1). networkx's ``is_d_separator`` answers
+    the same, but checks the whole graph for cycles on every call.
+    """
     if (x & y) or (x & z) or (y & z):
         raise ValueError("query sets must be disjoint")
-    return nx.is_d_separator(ground_digraph(gg), x, y, z)
+    g = _acyclic_ground_digraph(gg)
+    pred, succ = g.pred, g.succ
+    opens = set(z)  # z and its ancestors
+    stack = list(z)
+    while stack:
+        for parent in pred[stack.pop()]:
+            if parent not in opens:
+                opens.add(parent)
+                stack.append(parent)
+    # (node, whether the ball came from a child)
+    balls = [(node, True) for node in x]
+    seen = set(balls)
+    while balls:
+        node, from_child = balls.pop()
+        if node in y:
+            return False
+        nexts = []
+        if node not in z:
+            nexts += [(child, False) for child in succ[node]]
+            if from_child:
+                nexts += [(parent, True) for parent in pred[node]]
+        if not from_child and node in opens:
+            nexts += [(parent, True) for parent in pred[node]]
+        for ball in nexts:
+            if ball not in seen:
+                seen.add(ball)
+                balls.append(ball)
+    return True
+
+
+def compositions(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Pivot compositions of two item tuples, shortest first, not validated.
+
+    For every pivot m >= 1 where the last m items of ``a`` reversed equal
+    the first m items of ``b``, a candidate drops those m items from ``a``
+    and the first m - 1 items from ``b``. The pivots that match are
+    m = 1..r for some r, and each gives a candidate of another length.
+    """
+    run = 0
+    while run < min(len(a), len(b)) and a[-1 - run] == b[run]:
+        run += 1
+    return [a[: len(a) - m] + b[m - 1 :] for m in range(run, 0, -1)]
 
 
 def extend(
@@ -130,6 +190,68 @@ def extend(
     candidates = compositions(p_orig.items, p_ext.items)
     paths = [RelationalPath(c) for c in candidates if len(c) <= max_length]
     return [p for p in paths if is_valid(p, schema)]
+
+
+def node_table(schema: Schema, perspective: str, hops: int) -> SimpleNamespace:
+    """``agg.node_table``'s nodes and index, by sorting every variable."""
+    variables = {
+        RelationalVariable(p, attr)
+        for p in enumerate_paths(schema, perspective, hops)
+        for attr in schema.attributes_of(p.last)
+    }
+    nodes = tuple(sorted(variables, key=variable_key))
+    return SimpleNamespace(nodes=nodes, index={v: i for i, v in enumerate(nodes)})
+
+
+def lift(schema: Schema, perspective: str, node_hops: int, pairs) -> SimpleNamespace:
+    """``agg.lift`` by building every ``compositions`` candidate of a node's
+    path with a pair's cause path and looking it up among the nodes by
+    (path items, attribute). Gives nodes, index, adjacency, ``edge_pairs``
+    (edges in the order they are first made) and ``pair_edges`` (each
+    pair's edges as sorted (low id, high id) tuples)."""
+    table = node_table(schema, perspective, node_hops)
+    nodes = table.nodes
+    by_key = {(v.path.items, v.attribute): i for i, v in enumerate(nodes)}
+    # the nodes of each attribute class, as (path items, id)
+    by_class: dict[tuple[str, str], list[tuple[tuple[str, ...], int]]] = {}
+    for (items, attr), i in by_key.items():
+        by_class.setdefault((items[-1], attr), []).append((items, i))
+    supports: dict[tuple[int, int], list[RelationalDependency]] = {}
+    edges_of: dict[RelationalDependency, list[tuple[int, int]]] = {}
+    adjacency = [0] * len(nodes)
+    for pair in sorted(pairs, key=str):  # so each edge's pairs come sorted
+        effect = (pair.effect.path.last, pair.effect.attribute)
+        for q, v in by_class.get(effect, ()):
+            for items in compositions(q, pair.cause.path.items):
+                u = by_key.get((items, pair.cause.attribute))
+                if u is not None:
+                    edge = (min(u, v), max(u, v))
+                    supports.setdefault(edge, []).append(pair)
+                    edges_of.setdefault(pair, []).append(edge)
+                    adjacency[u] |= 1 << v
+                    adjacency[v] |= 1 << u
+    return SimpleNamespace(
+        nodes=nodes,
+        index=table.index,
+        adjacency=tuple(adjacency),
+        edge_pairs={k: tuple(p) for k, p in supports.items()},
+        pair_edges={p: tuple(sorted(e)) for p, e in edges_of.items()},
+    )
+
+
+def oriented_lift(model: RelationalModel, perspective: str, hops: int):
+    """The reference ``lift`` of a model's pairs, and its (parents, children)
+    id masks with every edge directed as the model's dependency of the
+    pair: from the end whose attribute class is that dependency's cause."""
+    lifted = lift(model.schema, perspective, hops, model.pairs)
+    parents, children = [0] * len(lifted.nodes), [0] * len(lifted.nodes)
+    for pair, d in model.pairs.items():
+        for i, j in lifted.pair_edges.get(pair, ()):
+            if lifted.nodes[i].attribute_class != d.cause.attribute_class:
+                i, j = j, i
+            children[i] |= 1 << j
+            parents[j] |= 1 << i
+    return lifted, parents, children
 
 
 def _dsep_facts(variables: tuple[str, ...], edges) -> frozenset | None:

@@ -16,6 +16,7 @@ from relcd.agg import (
     build_agg,
     build_all,
     lift,
+    node_table,
     orient,
     unshielded_triples,
 )
@@ -33,8 +34,10 @@ from relcd.model import (
 )
 from relcd.paths import enumerate_paths
 from relcd.schema import random_schema
+from tests import reference
 from tests.conftest import dep, propositional_model, single_entity_schema, var
 from tests.reference import extend, lifted_digraph
+from tests.test_rcd import OTHER_HOPS
 
 
 def node_strings(agg):
@@ -341,6 +344,18 @@ def test_edge_direction_follows_first_oriented_pair(seed, num_entities, hops):
             assert agg.edge_direction(j, i) == expected
 
 
+def pair_edges(lifting):
+    """Each pair's arcs as sorted (low id, high id) edges, after checking
+    that every arc runs from the pair's cause class to its effect class."""
+    out = {}
+    for pair, arcs in lifting.pair_arcs.items():
+        for u, v in arcs:
+            assert lifting.nodes[u].attribute_class == pair.cause.attribute_class
+            assert lifting.nodes[v].attribute_class == pair.effect.attribute_class
+        out[pair] = tuple(sorted((min(u, v), max(u, v)) for u, v in arcs))
+    return out
+
+
 def _reference_edge_pairs(agg, dependencies, schema, hops):
     # edges as build_agg documents them: the reference extend from every node path
     supports = {}
@@ -399,7 +414,37 @@ def test_lifting_is_symmetric(seed, num_entities, hops, pick):
             assert mine.edge_pairs == reference
             assert mine.adjacency == tuple(adjacency)
             expected = {pair: tuple(sorted(reference))} if reference else {}
-            assert mine.pair_edges == expected
+            assert pair_edges(mine) == expected
+
+
+# oracle-grid's panel at entropy 0, ten cases a cell, at the oracle's 8 hops,
+# and the cases test_rcd pins at other oracle hops, as ((entities, deps,
+# trial), hops): three and four entities with hop threshold 4, where the
+# Hypothesis tests above stay at one to three entities and five hops
+LIFT_PANEL = [
+    ((e, d, t), 8) for t in range(10) for e, d in ((3, 10), (3, 15), (4, 10), (4, 15))
+] + sorted({(case, hops) for case, hops, _ in OTHER_HOPS})
+
+
+@pytest.mark.parametrize(
+    "case,hops", LIFT_PANEL, ids=[f"{'-'.join(map(str, c))}-h{h}" for c, h in LIFT_PANEL]
+)
+def test_lifting_matches_the_reference_at_benchmark_scale(case, hops):
+    # node tables, liftings and the oracle's directions against the reference
+    # that sorts every variable and looks every composition up by path items
+    seq = np.random.SeedSequence(entropy=0, spawn_key=case)
+    schema, truth = generate_case(*case[:2], rcd.LearnConfig().hop_threshold, seq)
+    for perspective in sorted(schema.item_classes):
+        want, parents, children = reference.oriented_lift(truth, perspective, hops)
+        table = node_table(schema, perspective, hops)
+        assert table.nodes == want.nodes
+        assert table.index == want.index
+        agg = oriented_agg(truth, perspective, hops)
+        assert agg.nodes == want.nodes
+        assert agg.adjacency == want.adjacency
+        assert list(agg.edge_pairs.items()) == list(want.edge_pairs.items())
+        assert pair_edges(agg) == want.pair_edges
+        assert (agg.parents, agg.children) == (parents, children)
 
 
 def _grid_case():
@@ -416,13 +461,13 @@ def test_shared_lifting_keeps_direction_bits_per_graph():
     for perspective in first.perspectives():
         a, b = first.aggs[perspective], second.aggs[perspective]
         o = oracle._agg(perspective)
-        for name in ("adjacency", "edge_pairs", "pair_edges"):
+        for name in ("adjacency", "edge_pairs", "pair_arcs"):
             assert getattr(a, name) is getattr(b, name) is getattr(o, name)
         own = {id(bits) for g in (a, b, o) for bits in (g.parents, g.children)}
         assert len(own) == 6  # each graph has direction lists of its own
         oracle_bits[perspective] = (list(o.parents), list(o.children))
     pair = next(
-        p for p in first.registry if any(p in a.pair_edges for a in first.aggs.values())
+        p for p in first.registry if any(p in a.pair_arcs for a in first.aggs.values())
     )
     assert orient(first, pair, rule="CD")
     assert any(any(a.parents) for a in first.aggs.values())
@@ -436,7 +481,7 @@ def test_shared_lifting_keeps_direction_bits_per_graph():
 
 
 def _structure(agg):
-    return agg.adjacency, list(agg.edge_pairs.items()), list(agg.pair_edges.items())
+    return agg.adjacency, list(agg.edge_pairs.items()), list(agg.pair_arcs.items())
 
 
 @pytest.mark.parametrize("rbo_order", ["rbo_after_cd", "rbo_first", "rbo_last"])

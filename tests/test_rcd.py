@@ -15,6 +15,7 @@ from relcd.ci import OracleCI, RegressionCI
 from relcd.errors import Infeasible
 from relcd.harness import generate_case
 from relcd.model import (
+    RelationalDependency,
     RelationalModel,
     canonical_pair,
     potential_dependencies,
@@ -551,7 +552,9 @@ def test_learn_plan_is_shared_and_read_only():
     with pytest.raises(TypeError):
         plan.causes[next(iter(causes))] = 0
     assert phase1(schema, OracleCI(truth, hops=8), config) == first
-    assert plan.dependencies == tuple(potential_dependencies(schema, config.hop_threshold))
+    tables = {p: node_table(schema, p, 2 * config.hop_threshold) for p in schema.item_classes}
+    named = [RelationalDependency(tables[p].nodes[x], tables[p].nodes[y]) for p, x, y, _ in plan.rows]
+    assert named == potential_dependencies(schema, config.hop_threshold)
 
 
 def test_phase1_asks_by_the_tables_node_table_holds():

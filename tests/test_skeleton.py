@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import networkx as nx
@@ -538,6 +539,44 @@ def test_dsep_ground_collider(movie_truth, tiny_movie_skeleton):
     m1 = {("MOVIE", "m1", "Success")}
     assert dsep_ground(gg, a1, a2, set())
     assert not dsep_ground(gg, a1, a2, m1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dsep_ground_agrees_with_networkx(seed):
+    # the reference's own Bayes-ball against networkx, on sampled queries over
+    # a ground graph with colliders: random sets, and a collider's two
+    # parents given a descendant of the collider, which only the bounce at
+    # z connects
+    rng = np.random.default_rng(seed)
+    colliders = []
+    while not colliders:
+        schema = random_schema(int(rng.integers(2**31)), 2 + seed % 2)
+        try:
+            truth = random_model(schema, 4, seed=seed, restarts=50)
+        except Infeasible:
+            continue
+        sizes = dict.fromkeys(schema.entity_names, 6)
+        gg = ground_graph(truth, random_skeleton(schema, sizes, 1.0, seed=seed))
+        g = ground_digraph(gg)
+        nodes = sorted(g.nodes)
+        colliders = [n for n in nodes if g.in_degree(n) >= 2]
+
+    def pick(items, k):
+        return {items[i] for i in rng.choice(len(items), k, replace=False)}
+
+    verdicts = Counter()
+    for q in range(300):
+        if q % 2:
+            c = colliders[int(rng.integers(len(colliders)))]
+            x, y = ({p} for p in pick(sorted(g.pred[c]), 2))
+            z = pick(sorted(nx.descendants(g, c) | {c}), 1)
+        else:
+            x, y = ({n} for n in pick(nodes, 2))
+            z = pick([n for n in nodes if n not in x | y], int(rng.integers(4)))
+        want = nx.is_d_separator(g, x, y, z)
+        assert dsep_ground(gg, x, y, z) == want, (x, y, z)
+        verdicts[want] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_dsep_ground_overlap_rejected(movie_truth, tiny_movie_skeleton):
